@@ -37,7 +37,6 @@ from .harness import (
     ExperimentConfig,
     SummaryAccumulator,
     TrialRecord,
-    merge_summaries,
     run_scaling,
     run_simulate,
 )
@@ -61,7 +60,6 @@ from .kacrice import (
 from .polyeval import (
     RootedPolynomial,
     log_abs_p,
-    log_abs_q,
     r_sum,
     roots_from_csv,
     roots_to_csv,

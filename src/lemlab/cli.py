@@ -47,16 +47,7 @@ def _coerce(name, kind, text):
 
 def _build_config(args):
     cfg = ExperimentConfig()
-    types = {f.name: f.type for f in fields(ExperimentConfig)}
-    kinds = {
-        "command": str, "n": int, "trials": int, "master_seed": int,
-        "kappa": float, "threads": int, "resolution": int, "bound": float,
-        "eps": float, "grid": int, "r": float, "a": float, "b": float,
-        "c_n": float, "q1": bool, "mode": str, "out_path": str,
-        "area_samples": int, "boundary_points": int, "solver_max_iters": int,
-        "no_timing": bool, "dump_crit": bool, "n_list": tuple,
-    }
-    del types
+    kinds = {f.name: type(f.default) for f in fields(ExperimentConfig)}
     if getattr(args, "config", None):
         for key, text in read_config_file(args.config).items():
             setattr(cfg, key, _coerce(key, kinds[key], text))

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .polyeval import recip_sums
 from .rng import RngStream
 
 #: iterate update below this (relative) size counts as converged
@@ -56,20 +57,14 @@ class CriticalSet:
         return self.points.size
 
 
-def _nearest_root_gaps(roots):
-    """Distance from each root to its nearest other root."""
-    n = roots.size
-    if n == 1:
-        return np.array([1.0])
-    if n <= 1024:
-        d = np.abs(roots[:, None] - roots[None, :])
-        np.fill_diagonal(d, np.inf)
-        return d.min(axis=1)
-    gaps = np.empty(n)
+def _nearest_gaps(pts):
+    """Distance from each point to its nearest other, 512 rows at a time."""
+    m = pts.size
     block = 512
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        d = np.abs(roots[lo:hi, None] - roots[None, :])
+    gaps = np.empty(m)
+    for lo in range(0, m, block):
+        hi = min(lo + block, m)
+        d = np.abs(pts[lo:hi, None] - pts[None, :])
         d[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
         gaps[lo:hi] = d.min(axis=1)
     return gaps
@@ -86,7 +81,7 @@ def initial_guesses(poly, stream):
     n = poly.n
     if n < 2:
         raise ValueError("need n >= 2 roots for critical points")
-    gaps = _nearest_root_gaps(poly.roots)
+    gaps = _nearest_gaps(poly.roots)
     m = n - 1
     angles = (2.0 * np.pi) * stream.uniforms(m)
     return poly.roots[:m] + 1e-3 * gaps[:m] * np.exp(1j * angles)
@@ -112,7 +107,7 @@ def find_critical_points(poly, max_iters=120, tol=RESIDUAL_TOL, stream=None,
         )
     if stream is None:
         stream = RngStream(0, 0)
-    gaps = _nearest_root_gaps(roots)
+    gaps = _nearest_gaps(roots)
     m = n - 1
     z = initial_guesses(poly, stream)
     active = np.ones(m, dtype=bool)
@@ -126,8 +121,7 @@ def find_critical_points(poly, max_iters=120, tol=RESIDUAL_TOL, stream=None,
         sweeps += 1
         za = z[active]
         diff = za[:, None] - roots[None, :]
-        adiff = np.abs(diff)
-        dmin = adiff.min(axis=1)
+        dmin = np.abs(diff).min(axis=1)
 
         hit = dmin < COLLISION_TOL
         if hit.any():
@@ -151,10 +145,8 @@ def find_critical_points(poly, max_iters=120, tol=RESIDUAL_TOL, stream=None,
         else:
             collide_streak[active] = 0
 
+        S, R = recip_sums(diff)
         with np.errstate(divide="ignore", invalid="ignore"):
-            inv = 1.0 / diff
-            S = inv.sum(axis=1)
-            R = np.sum(inv * inv, axis=1)
             N = S / (S * S - R)
             pd = za[:, None] - z[None, :]
             pd[pd == 0] = np.inf
@@ -178,10 +170,8 @@ def find_critical_points(poly, max_iters=120, tol=RESIDUAL_TOL, stream=None,
         active[idx[done]] = False
 
     diff = z[:, None] - roots[None, :]
-    adiff = np.abs(diff)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        S = np.sum(1.0 / diff, axis=1)
-    residuals = np.abs(S) * adiff.min(axis=1)
+    S, _ = recip_sums(diff)
+    residuals = np.abs(S) * np.abs(diff).min(axis=1)
     converged = bool(np.all(residuals < tol)) and not active.any()
     crit = CriticalSet(points=z, residuals=residuals,
                        iterations=sweeps, converged=converged)
@@ -192,22 +182,9 @@ def find_critical_points(poly, max_iters=120, tol=RESIDUAL_TOL, stream=None,
 
 def _validate(crit):
     pts = crit.points
-    m = pts.size
-    if m > 1:
-        if m <= 1024:
-            d = np.abs(pts[:, None] - pts[None, :])
-            np.fill_diagonal(d, np.inf)
-            sep = d.min()
-        else:
-            sep = np.inf
-            for lo in range(0, m, 512):
-                hi = min(lo + 512, m)
-                d = np.abs(pts[lo:hi, None] - pts[None, :])
-                d[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
-                sep = min(sep, d.min())
-        if sep < SEPARATION_TOL:
-            crit.converged = False
-            return
+    if pts.size > 1 and _nearest_gaps(pts).min() < SEPARATION_TOL:
+        crit.converged = False
+        return
     if np.abs(pts).max(initial=0.0) > 1.0 + DISC_SLACK:
         crit.converged = False
 

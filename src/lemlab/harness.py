@@ -3,9 +3,9 @@
 Each trial is a pure function of (master_seed, trial_index): its
 substream is derived independently of every other trial, so any thread
 arrangement produces the same records.  Records are buffered, sorted by
-trial index, and written in one pass; summaries merge per-block
-accumulators in fixed index order.  Outputs are therefore byte-identical
-across thread counts (timing column aside, which --no-timing zeroes).
+trial index, and written in one pass; summaries accumulate them in that
+order.  Outputs are therefore byte-identical across thread counts
+(timing column aside, which --no-timing zeroes).
 """
 
 from __future__ import annotations
@@ -15,9 +15,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
-
-import numpy as np
+from dataclasses import dataclass, replace
 
 from .analytic import limit_constant
 from .components import annulus_inner_radius, area_outside_mc, count_components, inradius_holds
@@ -32,9 +30,6 @@ CSV_HEADER = (
 
 #: abort threshold on the fraction of failed trials
 FAILURE_ABORT_FRACTION = 1e-3
-
-#: accumulator block size for fixed-order summary merging
-SUMMARY_BLOCK = 1024
 
 
 class ConfigError(ValueError):
@@ -128,7 +123,7 @@ def read_config_file(path):
 
 @dataclass
 class SummaryAccumulator:
-    """Streaming count/mean/M2/min/max with exact pooled merging."""
+    """Streaming count/mean/M2/min/max (Welford's update)."""
 
     count: int = 0
     mean: float = 0.0
@@ -158,36 +153,12 @@ class SummaryAccumulator:
         return math.sqrt(self.variance / self.count)
 
 
-def merge_summaries(a, b):
-    """Exact pooled combination (Chan's parallel update)."""
-    if a.count == 0:
-        return replace(b)
-    if b.count == 0:
-        return replace(a)
-    count = a.count + b.count
-    delta = b.mean - a.mean
-    mean = a.mean + delta * (b.count / count)
-    m2 = a.m2 + b.m2 + delta * delta * (a.count * b.count / count)
-    return SummaryAccumulator(
-        count=count, mean=mean, m2=m2, min=min(a.min, b.min), max=max(a.max, b.max)
-    )
-
-
 def summarize(values):
-    """Fixed-order block accumulation of an index-sorted value sequence."""
-    blocks = []
+    """One accumulator pass over an index-sorted value sequence."""
     acc = SummaryAccumulator()
-    for i, v in enumerate(values):
+    for v in values:
         acc.add(v)
-        if (i + 1) % SUMMARY_BLOCK == 0:
-            blocks.append(acc)
-            acc = SummaryAccumulator()
-    if acc.count:
-        blocks.append(acc)
-    total = SummaryAccumulator()
-    for b in blocks:
-        total = merge_summaries(total, b)
-    return total
+    return acc
 
 
 # ------------------------------------------------------------------ trials

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .components import annulus_inner_radius
-from .heavytail import median_of_means
-from .polyeval import RootedPolynomial
+from .polyeval import RootedPolynomial, log_modulus, recip_sums
 from .rng import DiscPoint, sample_disc_array
 
 _LOG_GUARD = 700.0
@@ -42,14 +41,10 @@ class LogOverflowError(OverflowError):
 
 def _log_moduli(poly, x, y):
     """(log|P'|, log|P''|) at the complex points x + iy, via root sums."""
-    z = x + 1j * y
-    diff = z[..., None] - poly.roots
-    sq = diff.real**2 + diff.imag**2
+    diff = (x + 1j * y)[..., None] - poly.roots
+    logp = log_modulus(diff)
+    s, r = recip_sums(diff)
     with np.errstate(divide="ignore", invalid="ignore"):
-        logp = 0.5 * np.sum(np.log(sq), axis=-1)
-        inv = 1.0 / diff
-        s = inv.sum(axis=-1)
-        r = np.sum(inv * inv, axis=-1)
         log_dp = logp + np.log(np.abs(s))
         log_ddp = logp + np.log(np.abs(s * s - r))
     return log_dp, log_ddp
@@ -166,27 +161,34 @@ class OnSample:
     in_event: bool
 
 
-def _event_batch(n, kappa, stream, count):
-    """Vectorized draw of `count` samples; returns a dict of arrays."""
-    inner = annulus_inner_radius(n, kappa)
+def _draw_x0_and_rest(stream, count, m):
+    """`count` draws of X_0 and m further uniform disc roots.
+
+    A draw whose reciprocal sum S(X_0) over the m roots is zero or not
+    finite is degenerate and is redrawn whole (X_0 first, then its m
+    roots).  Returns (x0, rest, diff, S, R, degenerate) with
+    diff = X_0 - rest and `degenerate` the number of redraws.
+    """
     x0 = sample_disc_array(stream, count)
-    rest = sample_disc_array(stream, count * (n - 1)).reshape(count, n - 1)
+    rest = sample_disc_array(stream, count * m).reshape(count, m)
     degenerate = 0
     while True:
         diff = x0[:, None] - rest
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv = 1.0 / diff
-            s = inv.sum(axis=1)
+        s, r = recip_sums(diff)
         bad = (s == 0) | ~np.isfinite(s)
         if not bad.any():
-            break
-        degenerate += int(bad.sum())
-        x0[bad] = sample_disc_array(stream, int(bad.sum()))
-        rest[bad] = sample_disc_array(
-            stream, int(bad.sum()) * (n - 1)
-        ).reshape(-1, n - 1)
-    r = np.sum(inv * inv, axis=1)
-    log_q = 0.5 * np.sum(np.log(diff.real**2 + diff.imag**2), axis=1)
+            return x0, rest, diff, s, r, degenerate
+        nb = int(bad.sum())
+        degenerate += nb
+        x0[bad] = sample_disc_array(stream, nb)
+        rest[bad] = sample_disc_array(stream, nb * m).reshape(nb, m)
+
+
+def _event_batch(n, kappa, stream, count):
+    """Vectorized draw of `count` samples; returns a dict of arrays."""
+    inner = annulus_inner_radius(n, kappa)
+    x0, rest, diff, s, r, degenerate = _draw_x0_and_rest(stream, count, n - 1)
+    log_q = log_modulus(diff)
     mod0 = np.abs(x0)
     in_ann = (mod0 > inner) & (mod0 < 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -255,23 +257,8 @@ def _mn_importance_chunk(n, kappa, stream, k):
     trustworthy at criterion sample sizes.
     """
     inner = annulus_inner_radius(n, kappa)
-    x0 = sample_disc_array(stream, k)
-    others = sample_disc_array(stream, k * (n - 2)).reshape(k, n - 2)
-    degenerate = 0
-    while True:
-        diffo = x0[:, None] - others
-        with np.errstate(divide="ignore", invalid="ignore"):
-            invo = 1.0 / diffo
-            s_t = invo.sum(axis=1)
-        bad = ~np.isfinite(s_t) | (s_t == 0)
-        if not bad.any():
-            break
-        degenerate += int(bad.sum())
-        nb = int(bad.sum())
-        x0[bad] = sample_disc_array(stream, nb)
-        others[bad] = sample_disc_array(stream, nb * (n - 2)).reshape(-1, n - 2)
-    r_t = np.sum(invo * invo, axis=1)
-    log_q_rest = 0.5 * np.sum(np.log(diffo.real**2 + diffo.imag**2), axis=1)
+    x0, _, diff, s_t, _, degenerate = _draw_x0_and_rest(stream, k, n - 2)
+    log_q_rest = log_modulus(diff)
 
     abs_st = np.abs(s_t)
     xi = x0 + 1.0 / s_t
@@ -302,7 +289,7 @@ def _mn_importance_chunk(n, kappa, stream, k):
 
     diff2 = x0 - x2
     with np.errstate(divide="ignore", invalid="ignore"):
-        s_full = 1.0 / diff2 + s_t
+        s_full = recip_sums(diff2[:, None])[0] + s_t  # S_t + 1/(X_0 - X_2)
         log_s = np.log(np.abs(s_full))
         shifted = np.abs(x0 + 1.0 / s_full)
     log_x0x2 = np.log(np.abs(diff2))
@@ -401,7 +388,8 @@ def estimate_t0(n, kappa, trials, stream, chunk=None, blocks=32):
     The integrand has heavy tails in principle, so alongside the plain
     mean we report a 32-block median-of-means; acceptance checks use the
     median-of-means value.  Its SE is the asymptotic standard error of a
-    median of `blocks` block means.
+    median of `blocks` block means; with fewer trials than blocks, each
+    block holds one value.
     """
     if n < 3:
         raise ValueError("n >= 3 required")
@@ -420,8 +408,9 @@ def estimate_t0(n, kappa, trials, stream, chunk=None, blocks=32):
         done += k
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    mom = median_of_means(vals, blocks=blocks)
+    blocks = min(blocks, trials)
     block_means = np.array([p.mean() for p in np.array_split(vals, blocks)])
+    mom = float(np.median(block_means))
     mom_se = float(
         math.sqrt(math.pi / 2.0) * block_means.std(ddof=1) / math.sqrt(blocks)
     ) if blocks > 1 else se

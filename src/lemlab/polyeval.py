@@ -8,15 +8,19 @@ lemniscate experiments is a root sum:
     P'(z)/P(z)     = sum_k 1/(z - x_k)
     (P'^2 - P P'')(z) / P(z)^2 = sum_k 1/(z - x_k)^2
 
-Sums run in root-index order (numpy's fixed pairwise reduction), chosen
-for reproducibility over the last bits of accuracy.
+Every evaluation in the package goes through the two kernels
+`log_modulus` and `recip_sums`, which take a difference array z - x_k
+and sum over its last axis in root-index order (numpy's fixed pairwise
+reduction), chosen for reproducibility over the last bits of accuracy.
+The one exception is `raster`, whose cell values stay a separate,
+independent oracle for the critical-value count.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-#: below this distance a query point is treated as sitting on a root
+#: below this distance s_sum and r_sum treat a query point as sitting on a root
 COINCIDENCE_TOL = 1e-300
 
 #: construction-time minimum allowed distance between two roots
@@ -72,7 +76,7 @@ def _check_distinct(roots):
 
 
 def _keep_indices(n, skip):
-    if not skip:
+    if skip is None:
         return None
     skip = set(int(k) for k in skip)
     for k in skip:
@@ -81,36 +85,46 @@ def _keep_indices(n, skip):
     return np.array([k for k in range(n) if k not in skip], dtype=np.intp)
 
 
-def log_abs_p(poly, z):
-    """log|P(z)| as a root sum; -inf if z sits on a root.
+def log_modulus(diff):
+    """0.5 * sum log(re^2 + im^2) over the last axis of `diff`.
 
-    `z` may be a complex scalar or ndarray; the return matches.
+    With diff = z - x_k this is log|P(z)|; a zero difference gives -inf.
     """
-    z = np.asarray(z, dtype=np.complex128)
-    diff = z[..., None] - poly.roots
-    sq = diff.real**2 + diff.imag**2
-    hit = sq < COINCIDENCE_TOL**2
-    with np.errstate(divide="ignore"):
-        out = 0.5 * np.sum(np.log(sq), axis=-1)
-    if hit.any():
-        out = np.where(hit.any(axis=-1), -np.inf, out)
-    return out if out.ndim else float(out)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return 0.5 * np.sum(np.log(diff.real**2 + diff.imag**2), axis=-1)
 
 
-def log_abs_q(poly, z, skip_index):
-    """log|P(z)/(z - x_skip)|: the log modulus with one root skipped."""
-    n = poly.n
-    if not (0 <= skip_index < n):
-        raise IndexError("skip_index out of range")
-    keep = _keep_indices(n, {skip_index})
-    z = np.asarray(z, dtype=np.complex128)
-    diff = z[..., None] - poly.roots[keep]
-    sq = diff.real**2 + diff.imag**2
-    hit = sq < COINCIDENCE_TOL**2
-    with np.errstate(divide="ignore"):
-        out = 0.5 * np.sum(np.log(sq), axis=-1)
-    if hit.any():
-        out = np.where(hit.any(axis=-1), -np.inf, out)
+def recip_sums(diff):
+    """(S, R) = (sum 1/d, sum (1/d)^2) over the last axis of `diff`.
+
+    No coincidence guard: a zero difference yields inf or nan, which the
+    callers test for (or know cannot occur).
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / diff
+        return np.sum(inv, axis=-1), np.sum(inv * inv, axis=-1)
+
+
+def _diff(poly, z, skip):
+    keep = _keep_indices(poly.n, skip)
+    roots = poly.roots if keep is None else poly.roots[keep]
+    return np.asarray(z, dtype=np.complex128)[..., None] - roots
+
+
+def _checked_recip_sums(poly, z, skip):
+    diff = _diff(poly, z, skip)
+    if np.abs(diff).min(initial=np.inf) < COINCIDENCE_TOL:
+        raise ValueError("z coincides with a non-skipped root")
+    return recip_sums(diff)
+
+
+def log_abs_p(poly, z, skip=None):
+    """log|P(z)| over the non-skipped roots; -inf if z sits on one of them.
+
+    `z` may be a complex scalar or ndarray; the return matches.  With
+    skip={k} this is log|P(z)/(z - x_k)|.
+    """
+    out = log_modulus(_diff(poly, z, skip))
     return out if out.ndim else float(out)
 
 
@@ -120,41 +134,14 @@ def s_sum(poly, z, skip=None):
     Raises ValueError if z coincides (within COINCIDENCE_TOL) with a
     non-skipped root.
     """
-    keep = _keep_indices(poly.n, skip)
-    roots = poly.roots if keep is None else poly.roots[keep]
-    z = np.asarray(z, dtype=np.complex128)
-    diff = z[..., None] - roots
-    if np.abs(diff).min(initial=np.inf) < COINCIDENCE_TOL:
-        raise ValueError("z coincides with a non-skipped root")
-    out = np.sum(1.0 / diff, axis=-1)
+    out = _checked_recip_sums(poly, z, skip)[0]
     return out if out.ndim else complex(out)
 
 
 def r_sum(poly, z, skip=None):
-    """sum over non-skipped roots of 1/(z - x_k)^2."""
-    keep = _keep_indices(poly.n, skip)
-    roots = poly.roots if keep is None else poly.roots[keep]
-    z = np.asarray(z, dtype=np.complex128)
-    diff = z[..., None] - roots
-    if np.abs(diff).min(initial=np.inf) < COINCIDENCE_TOL:
-        raise ValueError("z coincides with a non-skipped root")
-    inv = 1.0 / diff
-    out = np.sum(inv * inv, axis=-1)
+    """sum over non-skipped roots of 1/(z - x_k)^2 (same guard as s_sum)."""
+    out = _checked_recip_sums(poly, z, skip)[1]
     return out if out.ndim else complex(out)
-
-
-def full_sums(poly, z):
-    """(S, R) = (sum 1/(z-x_k), sum 1/(z-x_k)^2) over all roots, vectorized.
-
-    No coincidence guard: intended for hot paths on points known to avoid
-    the roots (division by zero yields inf, which downstream comparisons
-    treat correctly).
-    """
-    z = np.asarray(z, dtype=np.complex128)
-    diff = z[..., None] - poly.roots
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / diff
-        return np.sum(inv, axis=-1), np.sum(inv * inv, axis=-1)
 
 
 def roots_to_csv(poly, path):

@@ -13,46 +13,12 @@ from lemlab.harness import (
     ExperimentConfig,
     NumericFailureError,
     SummaryAccumulator,
-    merge_summaries,
     parse_seed,
     read_config_file,
     run_simulate,
     run_trial,
     summarize,
 )
-
-
-def test_merge_with_empty_is_identity():
-    a = SummaryAccumulator()
-    for x in (1.0, 2.0, 5.0):
-        a.add(x)
-    merged = merge_summaries(a, SummaryAccumulator())
-    assert merged.count == a.count
-    assert merged.mean == a.mean
-    assert merged.m2 == a.m2
-
-
-def test_merge_independent_of_split():
-    xs = [1.0, 2.0, 3.0, 4.0]
-    whole = SummaryAccumulator()
-    for x in xs:
-        whole.add(x)
-    a1, a2 = SummaryAccumulator(), SummaryAccumulator()
-    for x in xs[:1]:
-        a1.add(x)
-    for x in xs[1:]:
-        a2.add(x)
-    b1, b2 = SummaryAccumulator(), SummaryAccumulator()
-    for x in xs[:3]:
-        b1.add(x)
-    for x in xs[3:]:
-        b2.add(x)
-    ma = merge_summaries(a1, a2)
-    mb = merge_summaries(b1, b2)
-    assert ma.mean == pytest.approx(mb.mean, abs=1e-12)
-    assert ma.m2 == pytest.approx(mb.m2, abs=1e-12)
-    assert ma.m2 == pytest.approx(whole.m2, abs=1e-12)
-    assert ma.min == 1.0 and ma.max == 4.0
 
 
 def test_pooled_variance_hand_value():
@@ -111,14 +77,22 @@ def test_cli_precedence_config_file_vs_flags(tmp_path):
     from lemlab.cli import build_parser, _build_config
 
     path = tmp_path / "run.cfg"
-    path.write_text("n=25\ntrials=7\nmaster_seed=0x10\n")
+    path.write_text(
+        "n=25\ntrials=7\nmaster_seed=0x10\n"
+        "q1=yes\nkappa=1.5\nn_list=100,200\nmode=t0\n"
+    )
     args = build_parser().parse_args(
         ["simulate", "--config", str(path), "--n", "31"]
     )
     cfg = _build_config(args)
     assert cfg.n == 31        # flag wins
     assert cfg.trials == 7    # file beats default
-    assert cfg.master_seed == 16
+    # one file key of each coerced kind: hex int, bool, float, tuple, str
+    assert cfg.master_seed == 16 and type(cfg.master_seed) is int
+    assert cfg.q1 is True
+    assert cfg.kappa == 1.5 and type(cfg.kappa) is float
+    assert cfg.n_list == (100, 200)
+    assert cfg.mode == "t0" and type(cfg.mode) is str
 
 
 def test_trial_record_invariant_and_n2_counts():

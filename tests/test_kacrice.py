@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -175,3 +176,12 @@ def test_t0_nonnegative_and_consistent_smoke():
     se_c = counts.std(ddof=1) / math.sqrt(counts.size)
     z = abs((1.0 + t0.mean) - counts.mean()) / math.sqrt(t0.se**2 + se_c**2)
     assert z < 4.0
+
+
+def test_t0_fewer_trials_than_blocks():
+    # 10 trials and 32 blocks: each block holds one value, none is empty
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        t0 = estimate_t0(100, 2.0, 10, derive_substream(1, 0))
+    assert math.isfinite(t0.mom_se)
+    assert math.isfinite(t0.mom) and t0.mom >= 0.0

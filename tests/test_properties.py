@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lemlab.analytic import phi
-from lemlab.harness import SummaryAccumulator, merge_summaries
 from lemlab.heavytail import cdf_y_tail, single_jump_prediction, tail_law
 from lemlab.polyeval import RootedPolynomial, r_sum, s_sum
 
@@ -49,27 +48,6 @@ def test_skip_additivity_property(roots, rad, ang, j_raw):
 def test_phi_symmetry_property(x):
     assert abs(phi(x) + phi(-x) - 1.0) < 1e-14
     assert phi(x) <= phi(x + 0.125)
-
-
-@given(st.lists(st.floats(-100.0, 100.0), min_size=2, max_size=40),
-       st.integers(1, 39))
-@settings(max_examples=120, deadline=None)
-def test_merge_split_invariance(xs, cut_raw):
-    cut = cut_raw % (len(xs) - 1) + 1
-    whole = SummaryAccumulator()
-    left = SummaryAccumulator()
-    right = SummaryAccumulator()
-    for x in xs:
-        whole.add(x)
-    for x in xs[:cut]:
-        left.add(x)
-    for x in xs[cut:]:
-        right.add(x)
-    merged = merge_summaries(left, right)
-    assert merged.count == whole.count
-    assert abs(merged.mean - whole.mean) < 1e-9 * max(1.0, abs(whole.mean))
-    assert abs(merged.m2 - whole.m2) < 1e-8 * max(1.0, whole.m2)
-    assert merged.min == whole.min and merged.max == whole.max
 
 
 @given(st.floats(0.05, 0.95), st.floats(0.0, 30.0), st.floats(0.0, 30.0))
