@@ -15,6 +15,7 @@ import math
 
 from lemlab import (
     derive_substream,
+    estimate_p_on,
     estimate_p_on_and_mn,
     estimate_t0,
     limit_constant,
@@ -34,5 +35,5 @@ print("  n=6: 1 + E[|1 + R/S^2|^2; O] = %.4f +- %.4f  (median-of-means %.4f)"
 
 print("\nsqrt(n) P(O) against the limit %.5f:" % limit_constant())
 for n in (50, 100, 200, 400):
-    est = estimate_p_on_and_mn(n, 1.0, 400_000, derive_substream(18, n))
-    print("  n=%4d: sqrt(n) P(O) = %.4f" % (n, math.sqrt(n) * est.p_on))
+    p_on, _, _ = estimate_p_on(n, 1.0, 400_000, derive_substream(18, n))
+    print("  n=%4d: sqrt(n) P(O) = %.4f" % (n, math.sqrt(n) * p_on))

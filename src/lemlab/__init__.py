@@ -23,7 +23,6 @@ from .components import (
     annulus_inner_radius,
     area_outside_mc,
     count_components,
-    count_components_annulus,
     inradius_holds,
 )
 from .critical import (
@@ -51,11 +50,10 @@ from .heavytail import (
     walk_interval_prob_mc,
 )
 from .kacrice import (
-    OnSample,
     epsilon_count,
+    estimate_p_on,
     estimate_p_on_and_mn,
     estimate_t0,
-    sample_on_event,
 )
 from .polyeval import (
     RootedPolynomial,
@@ -66,6 +64,6 @@ from .polyeval import (
     s_sum,
 )
 from .raster import RasterGrid, flood_count, rasterize, write_ppm
-from .rng import DiscPoint, RngStream, derive_substream, sample_disc_array, sample_unit_disc
+from .rng import RngStream, derive_substream, sample_disc_array
 
 __version__ = "0.1.0"

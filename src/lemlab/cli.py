@@ -245,7 +245,7 @@ def main(argv=None, out=sys.stdout):
         elif cfg.command == "kacrice":
             cmd_kacrice(cfg, out)
         return 0
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError and the library's argument checks
         print("config error: %s" % exc, file=sys.stderr)
         return 2
     except (NumericFailureError, OverflowError) as exc:

@@ -73,11 +73,6 @@ def count_components(poly, crit, kappa=2.0):
     )
 
 
-def count_components_annulus(poly, crit, kappa):
-    """1 + #{critical points outside Lambda and inside the thin annulus}."""
-    return count_components(poly, crit, kappa=kappa).components_annulus
-
-
 def inradius_holds(poly, kappa, boundary_points=512):
     """True iff log|P| < 0 on the circle of radius 1 - kappa*sqrt(log n/n).
 

@@ -70,6 +70,12 @@ def _nearest_gaps(pts):
     return gaps
 
 
+def _nudge(roots, gaps, idx, stream):
+    """roots[idx], each moved 1e-3 * gaps[idx] at an angle from `stream`."""
+    angles = (2.0 * np.pi) * stream.uniforms(idx.size)
+    return roots[idx] + 1e-3 * gaps[idx] * np.exp(1j * angles)
+
+
 def initial_guesses(poly, stream):
     """Start points: roots x_1..x_{n-1}, each nudged by 1e-3 * gap.
 
@@ -78,21 +84,16 @@ def initial_guesses(poly, stream):
     the nearest other root) keeps every guess well inside its own root's
     basin while breaking any symmetry.
     """
-    n = poly.n
-    if n < 2:
+    if poly.n < 2:
         raise ValueError("need n >= 2 roots for critical points")
-    gaps = _nearest_gaps(poly.roots)
-    m = n - 1
-    angles = (2.0 * np.pi) * stream.uniforms(m)
-    return poly.roots[:m] + 1e-3 * gaps[:m] * np.exp(1j * angles)
+    return _nudge(poly.roots, _nearest_gaps(poly.roots), np.arange(poly.n - 1), stream)
 
 
-def find_critical_points(poly, max_iters=120, tol=RESIDUAL_TOL, stream=None,
-                         sweep_tol=SWEEP_TOL):
+def find_critical_points(poly, max_iters=120, stream=None):
     """All n-1 zeros of Sfull via the collective Aberth iteration.
 
     Returns a CriticalSet; converged=False (with partial diagnostics)
-    when some residual still exceeds `tol` after `max_iters` sweeps.
+    when some residual still exceeds RESIDUAL_TOL after `max_iters` sweeps.
     Raises RootCollisionError if an iterate sits on a root of P for three
     consecutive sweeps and five perturbed restarts do not cure it.
     """
@@ -109,7 +110,7 @@ def find_critical_points(poly, max_iters=120, tol=RESIDUAL_TOL, stream=None,
         stream = RngStream(0, 0)
     gaps = _nearest_gaps(roots)
     m = n - 1
-    z = initial_guesses(poly, stream)
+    z = _nudge(roots, gaps, np.arange(m), stream)
     active = np.ones(m, dtype=bool)
     collide_streak = np.zeros(m, dtype=np.int64)
     restarts = np.zeros(m, dtype=np.int64)
@@ -136,10 +137,8 @@ def find_critical_points(poly, max_iters=120, tol=RESIDUAL_TOL, stream=None,
                         "iterate stuck on a root after %d restarts" % MAX_RESTARTS
                     )
                 restarts[which] += 1
-                k = which.size
-                angles = (2.0 * np.pi) * stream.uniforms(k)
                 near = np.argmin(np.abs(z[which][:, None] - roots[None, :]), axis=1)
-                z[which] = roots[near] + 1e-3 * gaps[near] * np.exp(1j * angles)
+                z[which] = _nudge(roots, gaps, near, stream)
                 collide_streak[which] = 0
                 continue
         else:
@@ -165,14 +164,14 @@ def find_critical_points(poly, max_iters=120, tol=RESIDUAL_TOL, stream=None,
 
         z2 = za - w
         z[active] = z2
-        done = np.abs(w) < sweep_tol * (1.0 + np.abs(z2))
+        done = np.abs(w) < SWEEP_TOL * (1.0 + np.abs(z2))
         idx = np.where(active)[0]
         active[idx[done]] = False
 
     diff = z[:, None] - roots[None, :]
     S, _ = recip_sums(diff)
     residuals = np.abs(S) * np.abs(diff).min(axis=1)
-    converged = bool(np.all(residuals < tol)) and not active.any()
+    converged = bool(np.all(residuals < RESIDUAL_TOL)) and not active.any()
     crit = CriticalSet(points=z, residuals=residuals,
                        iterations=sweeps, converged=converged)
     if converged:

@@ -16,6 +16,9 @@ Second, the conditioned-root event for X_0 and the rest-roots X_2..X_n:
 with S the rest-root reciprocal sum and Q the rest-root product.  Its
 probability equals E[ |(X_0 - X_2) S|^{-4} ; O ], and the expected
 small-component count (minus one) is E[ |1 + R/S^2|^2 ; O ].
+`estimate_p_on` gives P(O) as an indicator mean; `estimate_p_on_and_mn`
+adds the reweighted mean, drawn by an importance sampler over X_2 whose
+summands are bounded; `estimate_t0` gives the count integrand.
 """
 
 from __future__ import annotations
@@ -26,10 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .components import annulus_inner_radius
-from .polyeval import RootedPolynomial, log_modulus, recip_sums
-from .rng import DiscPoint, sample_disc_array
+from .polyeval import log_modulus, recip_sums
+from .rng import sample_disc_array
 
 _LOG_GUARD = 700.0
+#: refinement levels below the base grid of `epsilon_count`
+_MAX_DEPTH = 16
+#: blocks of the median-of-means in `estimate_t0`
+_MOM_BLOCKS = 32
 
 
 class LogOverflowError(OverflowError):
@@ -50,17 +57,26 @@ def _log_moduli(poly, x, y):
     return log_dp, log_ddp
 
 
-def epsilon_count(poly, region, eps, grid, max_depth=None, subsample=32):
+def _weight_sum(log_ddp, area, denom):
+    """Sum of |P''|^2 area / denom over points given by log|P''|."""
+    if not log_ddp.size:
+        return 0.0
+    expo = 2.0 * log_ddp + math.log(area) - math.log(denom)
+    if np.max(expo) > _LOG_GUARD:
+        raise LogOverflowError("|P''|^2 cell weight overflows")
+    return float(np.exp(expo).sum())
+
+
+def epsilon_count(poly, region, eps, grid, subsample=32):
     """Quadrature of (1/(pi eps^2)) int |P''|^2 1{|P'| < eps} over `region`.
 
     region = (xmin, xmax, ymin, ymax).  The base grid is `grid` cells per
     side.  Cells provably inside or outside {|P'| < eps} (via the margin
     |P'(c)| -/+ 4 |P''(c)| * halfdiag against eps, all in log space) are
     settled by their midpoint; undecided cells are split in four, down to
-    cells comparable with the local disc radius eps/|P''| (at most
-    `max_depth` extra levels; default picks the depth needed, capped at
-    16), and surviving boundary cells are settled by a subsample x
-    subsample midpoint rule.
+    cells comparable with the local disc radius eps/|P''| (at most 16
+    extra levels), and surviving boundary cells are settled by a
+    subsample x subsample midpoint rule.
     """
     if eps <= 0:
         raise ValueError("eps > 0 required")
@@ -70,7 +86,6 @@ def epsilon_count(poly, region, eps, grid, max_depth=None, subsample=32):
     if not (xmax > xmin and ymax > ymin):
         raise ValueError("degenerate region")
     log_eps = math.log(eps)
-    depth_cap = 16 if max_depth is None else int(max_depth)
 
     # level 0: all cells, then refine an ever-shrinking active set
     gx = np.arange(grid)
@@ -84,22 +99,17 @@ def epsilon_count(poly, region, eps, grid, max_depth=None, subsample=32):
     denom = math.pi * eps * eps
     level = 0
     while True:
-        area = hx * hy
         halfdiag = 0.5 * math.hypot(hx, hy)
         log_margin = math.log(4.0 * halfdiag)
         log_dp, log_ddp = _log_moduli(poly, cx, cy)
         lm = log_ddp + log_margin
         certainly_in = np.logaddexp(log_dp, lm) < log_eps
         certainly_out = log_dp > np.logaddexp(log_eps, lm)
-        if certainly_in.any():
-            expo = 2.0 * log_ddp[certainly_in] + math.log(area) - math.log(denom)
-            if np.max(expo) > _LOG_GUARD:
-                raise LogOverflowError("|P''|^2 cell weight overflows")
-            total += float(np.exp(expo).sum())
+        total += _weight_sum(log_ddp[certainly_in], hx * hy, denom)
         undecided = ~(certainly_in | certainly_out)
         # a cell is worth splitting while it is coarse next to the local
         # disc radius eps/|P''|; others go straight to subsampling
-        if level < depth_cap:
+        if level < _MAX_DEPTH:
             log_rloc = log_eps - log_ddp
             split = undecided & (math.log(halfdiag * 0.5) > log_rloc - math.log(8.0))
         else:
@@ -136,29 +146,19 @@ def _subsample_cells(poly, cx, cy, hx, hy, s, log_eps, denom):
         px = (cx[lo:hi, None] + OX.ravel()[None, :]).ravel()
         py = (cy[lo:hi, None] + OY.ravel()[None, :]).ravel()
         log_dp, log_ddp = _log_moduli(poly, px, py)
-        inside = log_dp < log_eps
-        if inside.any():
-            expo = 2.0 * log_ddp[inside] + math.log(sub_area) - math.log(denom)
-            if np.max(expo) > _LOG_GUARD:
-                raise LogOverflowError("|P''|^2 subcell weight overflows")
-            total += float(np.exp(expo).sum())
+        total += _weight_sum(log_ddp[log_dp < log_eps], sub_area, denom)
     return total
 
 
 # ------------------------------------------------------- conditioned event
 
 
-@dataclass
-class OnSample:
-    """One draw of (X_0, X_2..X_n) with the event diagnostics."""
-
-    x0: DiscPoint
-    poly_rest: RootedPolynomial
-    s_n: complex
-    r_n: complex
-    log_q: float
-    in_annulus: bool
-    in_event: bool
+def _chunks(n, trials):
+    """Draw counts covering `trials` draws, about 400k roots per chunk."""
+    if n < 3:
+        raise ValueError("n >= 3 required")
+    chunk = max(1, 400_000 // n)
+    return [min(chunk, trials - lo) for lo in range(0, trials, chunk)]
 
 
 def _draw_x0_and_rest(stream, count, m):
@@ -184,18 +184,22 @@ def _draw_x0_and_rest(stream, count, m):
         rest[bad] = sample_disc_array(stream, nb * m).reshape(nb, m)
 
 
-def _event_batch(n, kappa, stream, count):
-    """Vectorized draw of `count` samples; returns a dict of arrays."""
+def _in_event(n, kappa, x0, s, log_q):
+    """The event O given X_0, S and log|Q|: (in_event, in_annulus, log|S|)."""
     inner = annulus_inner_radius(n, kappa)
-    x0, rest, diff, s, r, degenerate = _draw_x0_and_rest(stream, count, n - 1)
-    log_q = log_modulus(diff)
     mod0 = np.abs(x0)
     in_ann = (mod0 > inner) & (mod0 < 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_s = np.log(np.abs(s))
         shifted = np.abs(x0 + 1.0 / s)
-    in_event = in_ann & (log_s < log_q) & (shifted < 1.0)
-    log_x0x2 = np.log(np.abs(x0 - rest[:, 0]))
+    return in_ann & (log_s < log_q) & (shifted < 1.0), in_ann, log_s
+
+
+def _event_batch(n, kappa, stream, count):
+    """Vectorized draw of `count` samples; returns a dict of arrays."""
+    x0, rest, diff, s, r, degenerate = _draw_x0_and_rest(stream, count, n - 1)
+    log_q = log_modulus(diff)
+    in_event, in_ann, log_s = _in_event(n, kappa, x0, s, log_q)
     return {
         "x0": x0,
         "rest": rest,
@@ -203,27 +207,22 @@ def _event_batch(n, kappa, stream, count):
         "r": r,
         "log_q": log_q,
         "log_s": log_s,
-        "log_x0x2": log_x0x2,
         "in_annulus": in_ann,
         "in_event": in_event,
         "degenerate": degenerate,
     }
 
 
-def sample_on_event(n, kappa, stream):
-    """One OnSample draw (X_0 plus the n-1 rest-roots)."""
-    if n < 3:
-        raise ValueError("n >= 3 required")
-    b = _event_batch(n, kappa, stream, 1)
-    return OnSample(
-        x0=DiscPoint(b["x0"][0].real, b["x0"][0].imag),
-        poly_rest=RootedPolynomial(b["rest"][0]),
-        s_n=complex(b["s"][0]),
-        r_n=complex(b["r"][0]),
-        log_q=float(b["log_q"][0]),
-        in_annulus=bool(b["in_annulus"][0]),
-        in_event=bool(b["in_event"][0]),
-    )
+def estimate_p_on(n, kappa, trials, stream):
+    """P(O) as an indicator mean over `trials` draws: (p, se, degenerate)."""
+    hits = 0
+    degenerate = 0
+    for k in _chunks(n, trials):
+        b = _event_batch(n, kappa, stream, k)
+        hits += int(b["in_event"].sum())
+        degenerate += b["degenerate"]
+    p = hits / trials
+    return p, math.sqrt(max(p * (1.0 - p), 0.0) / trials), degenerate
 
 
 @dataclass(frozen=True)
@@ -235,7 +234,6 @@ class EventIdentityEstimate:
     m_n: float
     m_se: float
     diff_se: float
-    n_samples: int
     n_degenerate: int
 
 
@@ -256,7 +254,6 @@ def _mn_importance_chunk(n, kappa, stream, k):
     4/alpha, so the estimator's variance (and hence its reported SE) is
     trustworthy at criterion sample sizes.
     """
-    inner = annulus_inner_radius(n, kappa)
     x0, _, diff, s_t, _, degenerate = _draw_x0_and_rest(stream, k, n - 2)
     log_q_rest = log_modulus(diff)
 
@@ -288,84 +285,39 @@ def _mn_importance_chunk(n, kappa, stream, k):
     is_weight = np.where(in_disc & (dens_ratio > 0), 1.0 / dens_ratio, 0.0)
 
     diff2 = x0 - x2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s_full = recip_sums(diff2[:, None])[0] + s_t  # S_t + 1/(X_0 - X_2)
-        log_s = np.log(np.abs(s_full))
-        shifted = np.abs(x0 + 1.0 / s_full)
+    s_full = recip_sums(diff2[:, None])[0] + s_t  # S_t + 1/(X_0 - X_2)
     log_x0x2 = np.log(np.abs(diff2))
-    log_q = log_q_rest + log_x0x2
-    mod0 = np.abs(x0)
-    in_ann = (mod0 > inner) & (mod0 < 1.0)
-    in_event = in_ann & (log_s < log_q) & (shifted < 1.0) & in_disc
+    in_event, _, log_s = _in_event(n, kappa, x0, s_full, log_q_rest + log_x0x2)
+    in_event &= in_disc
     lw = -4.0 * (log_x0x2 + log_s)
     summand = np.where(in_event, np.exp(np.where(in_event, lw, 0.0)), 0.0)
     return summand * is_weight, degenerate
 
 
-def estimate_p_on_and_mn(n, kappa, trials, stream, chunk=None,
-                         method="importance"):
+def estimate_p_on_and_mn(n, kappa, trials, stream):
     """P(O) as an indicator mean, and M = E[|(X0-X2) S|^{-4}; O].
 
-    The identity M = P(O) is exact, but the plain-mean estimate of M has
-    its mass concentrated on rare draws with X_2 near X_0 + 1/St, and at
-    desk sample sizes it routinely misses them, giving both a low value
-    and an overconfident SE.  `method="importance"` (the default) spends
-    `trials` extra draws on an importance sampler over X_2 whose
-    summands are bounded, so the reported m_se is sound;
-    `method="plain"` keeps the naive estimator for comparison.
+    The identity M = P(O) is exact, but a plain mean of the weight has
+    its mass on rare draws with X_2 near X_0 + 1/St, which desk sample
+    sizes routinely miss.  After the `trials` draws of `estimate_p_on`,
+    M therefore spends `trials` more draws on an importance sampler over
+    X_2 whose summands are bounded, so the reported m_se is sound.
     """
-    if n < 3:
-        raise ValueError("n >= 3 required")
-    if method not in ("importance", "plain"):
-        raise ValueError("method must be 'importance' or 'plain'")
-    if chunk is None:
-        chunk = max(1, 400_000 // n)
-
-    hits = 0
-    degenerate = 0
-    done = 0
-    sw = sw2 = sd2 = 0.0
-    while done < trials:
-        k = min(chunk, trials - done)
-        b = _event_batch(n, kappa, stream, k)
-        ev = b["in_event"]
-        hits += int(ev.sum())
-        degenerate += b["degenerate"]
-        if method == "plain":
-            lw = -4.0 * (b["log_x0x2"] + b["log_s"])
-            w = np.where(ev, np.exp(np.where(ev, lw, 0.0)), 0.0)
-            sw += float(w.sum())
-            sw2 += float((w * w).sum())
-            d = ev.astype(np.float64) - w
-            sd2 += float((d * d).sum())
-        done += k
-    p = hits / trials
-    p_se = math.sqrt(max(p * (1.0 - p), 0.0) / trials)
-
-    if method == "importance":
-        done = 0
-        while done < trials:
-            k = min(chunk, trials - done)
-            w, deg = _mn_importance_chunk(n, kappa, stream, k)
-            degenerate += deg
-            sw += float(w.sum())
-            sw2 += float((w * w).sum())
-            done += k
-        m = sw / trials
-        m_se = math.sqrt(max(sw2 / trials - m * m, 0.0) / trials)
-        diff_se = math.sqrt(p_se * p_se + m_se * m_se)
-    else:
-        m = sw / trials
-        m_se = math.sqrt(max(sw2 / trials - m * m, 0.0) / trials)
-        dmean = p - m
-        diff_se = math.sqrt(max(sd2 / trials - dmean * dmean, 0.0) / trials)
+    p, p_se, degenerate = estimate_p_on(n, kappa, trials, stream)
+    sw = sw2 = 0.0
+    for k in _chunks(n, trials):
+        w, deg = _mn_importance_chunk(n, kappa, stream, k)
+        degenerate += deg
+        sw += float(w.sum())
+        sw2 += float((w * w).sum())
+    m = sw / trials
+    m_se = math.sqrt(max(sw2 / trials - m * m, 0.0) / trials)
     return EventIdentityEstimate(
         p_on=p,
         p_se=p_se,
         m_n=m,
         m_se=m_se,
-        diff_se=diff_se,
-        n_samples=trials,
+        diff_se=math.sqrt(p_se * p_se + m_se * m_se),
         n_degenerate=degenerate,
     )
 
@@ -378,43 +330,35 @@ class CountIntegrandEstimate:
     se: float
     mom: float
     mom_se: float
-    n_samples: int
     n_degenerate: int
 
 
-def estimate_t0(n, kappa, trials, stream, chunk=None, blocks=32):
+def estimate_t0(n, kappa, trials, stream):
     """Estimate E[|1 + R/S^2|^2; O] (the expected extra components).
 
     The integrand has heavy tails in principle, so alongside the plain
     mean we report a 32-block median-of-means; acceptance checks use the
     median-of-means value.  Its SE is the asymptotic standard error of a
-    median of `blocks` block means; with fewer trials than blocks, each
-    block holds one value.
+    median of the block means; with fewer trials than blocks, each block
+    holds one value.
     """
-    if n < 3:
-        raise ValueError("n >= 3 required")
-    if chunk is None:
-        chunk = max(1, 400_000 // n)
-    vals = np.empty(trials)
+    parts = []
     degenerate = 0
-    done = 0
-    while done < trials:
-        k = min(chunk, trials - done)
+    for k in _chunks(n, trials):
         b = _event_batch(n, kappa, stream, k)
         s = b["s"]
         v = np.abs(1.0 + b["r"] / (s * s)) ** 2
-        vals[done : done + k] = np.where(b["in_event"], v, 0.0)
+        parts.append(np.where(b["in_event"], v, 0.0))
         degenerate += b["degenerate"]
-        done += k
+    vals = np.concatenate(parts)
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    blocks = min(blocks, trials)
+    blocks = min(_MOM_BLOCKS, trials)
     block_means = np.array([p.mean() for p in np.array_split(vals, blocks)])
     mom = float(np.median(block_means))
     mom_se = float(
         math.sqrt(math.pi / 2.0) * block_means.std(ddof=1) / math.sqrt(blocks)
     ) if blocks > 1 else se
     return CountIntegrandEstimate(
-        mean=mean, se=se, mom=mom, mom_se=mom_se,
-        n_samples=trials, n_degenerate=degenerate,
+        mean=mean, se=se, mom=mom, mom_se=mom_se, n_degenerate=degenerate,
     )

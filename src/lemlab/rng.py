@@ -17,23 +17,10 @@ implementations aligned on the same bit stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.random import Generator, Philox
 
 _MASK64 = (1 << 64) - 1
-
-
-@dataclass(frozen=True)
-class DiscPoint:
-    """A point of the open unit disc with finite coordinates."""
-
-    re: float
-    im: float
-
-    def __complex__(self):
-        return complex(self.re, self.im)
 
 
 class RngStream:
@@ -83,8 +70,3 @@ def sample_disc_array(stream, count):
     angle = (2.0 * np.pi) * u[1::2]
     return radius * np.exp(1j * angle)
 
-
-def sample_unit_disc(stream):
-    """One uniform point of the open unit disc."""
-    z = sample_disc_array(stream, 1)[0]
-    return DiscPoint(z.real, z.imag)

@@ -7,7 +7,6 @@ from lemlab.components import (
     annulus_inner_radius,
     area_outside_mc,
     count_components,
-    count_components_annulus,
     inradius_holds,
 )
 from lemlab.critical import find_critical_points
@@ -67,12 +66,12 @@ def test_annulus_covering_disc_equals_full_count():
     poly, crit = _solved(300, 6)
     kappa = 3.0  # kappa sqrt(log 6 / 6) > 1: annulus covers the disc
     assert annulus_inner_radius(6, kappa) < 0
-    assert count_components_annulus(poly, crit, kappa) == count_components(poly, crit).components
+    assert count_components(poly, crit, kappa).components_annulus == count_components(poly, crit).components
 
 
 def test_tiny_kappa_counts_nothing():
     poly, crit = _solved(301, 8)
-    assert count_components_annulus(poly, crit, 1e-9) == 1
+    assert count_components(poly, crit, 1e-9).components_annulus == 1
 
 
 def test_ambiguity_flagging_on_exact_tie():

@@ -158,6 +158,17 @@ def test_cli_exit_codes(tmp_path):
         capture_output=True, cwd=os.path.dirname(os.path.dirname(__file__)),
     )
     assert r.returncode == 2  # unknown flags rejected
+    # parameters the library rejects: heavytail's own defaults put a below
+    # the right cut, the event needs n >= 3, the area prediction n >= 2
+    for argv in (["heavytail"], ["kacrice", "--mode", "t0", "--n", "2"],
+                 ["area", "--n", "1"]):
+        r = subprocess.run(
+            [sys.executable, "-m", "lemlab.cli"] + argv,
+            capture_output=True, text=True,
+            cwd=os.path.dirname(os.path.dirname(__file__)),
+        )
+        assert r.returncode == 2, argv
+        assert r.stderr.startswith("config error:") and "Traceback" not in r.stderr
     r = subprocess.run(
         [sys.executable, "-m", "lemlab.cli", "constants"],
         capture_output=True, text=True,

@@ -1,17 +1,19 @@
+import io
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+from lemlab.cli import main
 from lemlab.components import annulus_inner_radius, count_components
 from lemlab.critical import find_critical_points
 from lemlab.kacrice import (
     _event_batch,
     epsilon_count,
+    estimate_p_on,
     estimate_p_on_and_mn,
     estimate_t0,
-    sample_on_event,
 )
 from lemlab.polyeval import RootedPolynomial
 from lemlab.rng import derive_substream, sample_disc_array
@@ -92,15 +94,6 @@ def test_conditional_identity_by_quadrature():
     assert checked == 3
 
 
-def test_sample_on_event_structure():
-    s = sample_on_event(6, 1.0, derive_substream(63, 0))
-    assert s.poly_rest.n == 5
-    assert (not s.in_event) or s.in_annulus
-    assert abs(complex(s.x0)) < 1.0
-    with pytest.raises(ValueError):
-        sample_on_event(2, 1.0, derive_substream(63, 1))
-
-
 def test_event_implies_annulus_and_inversion_constraint():
     b = _event_batch(6, 1.0, derive_substream(64, 0), 50_000)
     ev = b["in_event"]
@@ -138,12 +131,10 @@ def test_identity_small_run():
     assert b["in_event"].sum() <= b["in_annulus"].sum()
 
 
-def test_plain_estimator_also_exposed():
-    est = estimate_p_on_and_mn(4, 1.0, 200_000, derive_substream(67, 0),
-                               method="plain")
-    assert est.m_n >= 0.0
-    with pytest.raises(ValueError):
-        estimate_p_on_and_mn(4, 1.0, 100, derive_substream(67, 1), method="x")
+def test_event_estimators_need_three_roots():
+    for estimate in (estimate_p_on, estimate_p_on_and_mn, estimate_t0):
+        with pytest.raises(ValueError):
+            estimate(2, 1.0, 100, derive_substream(67, 1))
 
 
 def test_sqrt_n_p_on_trend_toward_limit():
@@ -154,9 +145,8 @@ def test_sqrt_n_p_on_trend_toward_limit():
     lim = limit_constant()
     dist = {}
     for n in (50, 400):
-        est = estimate_p_on_and_mn(n, 1.0, 200_000, derive_substream(69, n),
-                                   method="plain")
-        dist[n] = abs(math.sqrt(n) * est.p_on - lim)
+        p_on, _, _ = estimate_p_on(n, 1.0, 200_000, derive_substream(69, n))
+        dist[n] = abs(math.sqrt(n) * p_on - lim)
     assert dist[400] < dist[50]
 
 
@@ -185,3 +175,20 @@ def test_t0_fewer_trials_than_blocks():
         t0 = estimate_t0(100, 2.0, 10, derive_substream(1, 0))
     assert math.isfinite(t0.mom_se)
     assert math.isfinite(t0.mom) and t0.mom >= 0.0
+
+
+@pytest.mark.parametrize("args, pinned", [
+    (["--mode", "on-event", "--n", "50", "--trials", "6000"],
+     {"p_on": 0.007333333333333333, "m_n": 0.014817217262483424}),
+    (["--mode", "t0", "--n", "100", "--trials", "3000"],
+     {"t0_mean": 0.01047166362802835, "t0_median_of_means": 0.010689210822885957}),
+    (["--mode", "epsint", "--n", "8", "--grid", "512"],
+     {"epsint": 7.000109657218854}),
+], ids=["on-event", "t0", "epsint"])
+def test_cli_outputs_pinned(args, pinned):
+    # fixed-seed `lemlab kacrice` outputs, at the benchmark's 1e-9 tolerance
+    buf = io.StringIO()
+    assert main(["kacrice", "--kappa", "2", "--seed", "1"] + args, out=buf) == 0
+    rows = dict(line.split(",")[:2] for line in buf.getvalue().splitlines()[1:])
+    for name, value in pinned.items():
+        assert float(rows[name]) == pytest.approx(value, rel=1e-9)
