@@ -1,10 +1,13 @@
 """Command-line interface.
 
 Subcommands: simulate, scaling, raster, constants, area (alias
-area-predict), heavytail, kacrice.  Seeds are decimal or 0x-prefixed
-hex.  A --config file of key=value lines supplies defaults; explicit
-flags win.  Exit codes: 0 success, 2 configuration error, 3 numeric
-failure (solver failure rate or a violated numeric contract).
+area-predict), heavytail, kacrice.  Each flag sets the ExperimentConfig
+field of its name (--seed, --out and --res set master_seed, out_path
+and resolution) and is parsed exactly as that key is in a --config
+file of key=value lines.  The file supplies defaults; explicit flags
+win.  Seeds are decimal or 0x-prefixed hex.  Exit codes: 0 success, 2
+configuration error, 3 numeric failure (solver failure rate or a
+violated numeric contract).
 """
 
 from __future__ import annotations
@@ -22,10 +25,12 @@ from .harness import (
     read_config_file,
     run_scaling,
     run_simulate,
+    run_trial,
 )
 
 _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
+_KINDS = {f.name: type(f.default) for f in fields(ExperimentConfig)}
 
 
 def _coerce(name, kind, text):
@@ -47,89 +52,17 @@ def _coerce(name, kind, text):
 
 def _build_config(args):
     cfg = ExperimentConfig()
-    kinds = {f.name: type(f.default) for f in fields(ExperimentConfig)}
     if getattr(args, "config", None):
         for key, text in read_config_file(args.config).items():
-            setattr(cfg, key, _coerce(key, kinds[key], text))
-    for key in kinds:
+            setattr(cfg, key, _coerce(key, _KINDS[key], text))
+    for key in _KINDS:
         val = getattr(args, key, None)
         if val is not None:
             setattr(cfg, key, val)
     return cfg
 
 
-def _add_common(p):
-    p.add_argument("--config", help="key=value config file")
-    p.add_argument("--seed", dest="master_seed", type=parse_seed,
-                   help="master seed (decimal or 0x hex)")
-    p.add_argument("--threads", type=int, help="worker threads (0 = auto)")
-    p.add_argument("--out", dest="out_path", help="output file path")
-
-
-def build_parser():
-    ap = argparse.ArgumentParser(
-        prog="lemlab",
-        description="simulation laboratory for unit-disc random polynomial "
-                    "lemniscates",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="per-trial component counts")
-    _add_common(p)
-    p.add_argument("--n", type=int, help="polynomial degree")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--area-samples", dest="area_samples", type=int)
-    p.add_argument("--boundary-points", dest="boundary_points", type=int)
-    p.add_argument("--no-timing", dest="no_timing", action="store_const", const=True)
-    p.add_argument("--dump-crit", dest="dump_crit", action="store_const", const=True)
-
-    p = sub.add_parser("scaling", help="component scaling over an n list")
-    _add_common(p)
-    p.add_argument("--n-list", dest="n_list", help="comma-separated n values",
-                   type=lambda s: tuple(int(x) for x in s.split(",") if x))
-    p.add_argument("--trials", type=int)
-    p.add_argument("--kappa", type=float)
-
-    p = sub.add_parser("raster", help="rasterize one trial and write a PPM")
-    _add_common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--res", dest="resolution", type=int)
-    p.add_argument("--bound", type=float)
-    p.add_argument("--kappa", type=float)
-
-    p = sub.add_parser("constants", help="print the closed-form constants")
-    p.add_argument("--config", help="key=value config file")
-
-    p = sub.add_parser("area", aliases=["area-predict"],
-                       help="Gaussian/Edgeworth uncovered-area prediction")
-    _add_common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--c-n", dest="c_n", type=float)
-    p.add_argument("--q1", action="store_const", const=True,
-                   help="include the skewness correction term")
-
-    p = sub.add_parser("heavytail", help="heavy-tailed walk interval probability")
-    _add_common(p)
-    p.add_argument("--r", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--a", type=float)
-    p.add_argument("--b", type=float)
-    p.add_argument("--trials", type=int)
-
-    p = sub.add_parser("kacrice", help="eps-integral and event estimators")
-    _add_common(p)
-    p.add_argument("--mode", choices=["epsint", "on-event", "t0"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--grid", type=int)
-    return ap
-
-
-def cmd_constants(out):
+def cmd_constants(cfg, out):
     from .analytic import (
         ZETA2,
         area_limit_constant,
@@ -151,23 +84,16 @@ def cmd_constants(out):
 
 
 def cmd_raster(cfg, out):
-    from .critical import find_critical_points
-    from .components import count_components
-    from .polyeval import RootedPolynomial
     from .raster import flood_count, rasterize, write_ppm
-    from .rng import derive_substream, sample_disc_array
 
-    stream = derive_substream(cfg.master_seed, 0)
-    poly = RootedPolynomial(sample_disc_array(stream, cfg.n))
+    rec, poly, _ = run_trial(cfg, 0)
     grid = rasterize(poly, cfg.resolution, cfg.bound)
-    pixel_components = flood_count(grid)
-    crit = find_critical_points(poly, stream=stream)
-    counted = count_components(poly, crit, kappa=cfg.kappa).components if crit.converged else -1
+    counted = -1 if rec.failed else rec.components
     path = cfg.out_path or "lemniscate_n%d_seed%d.ppm" % (cfg.n, cfg.master_seed)
     write_ppm(grid, poly, cfg.kappa, path)
     print("# wrote %s" % path, file=out)
     print("pixel_components,critical_value_components", file=out)
-    print("%d,%d" % (pixel_components, counted), file=out)
+    print("%d,%d" % (flood_count(grid), counted), file=out)
 
 
 def cmd_area(cfg, out):
@@ -223,27 +149,77 @@ def cmd_kacrice(cfg, out):
         raise ConfigError("kacrice --mode must be epsint, on-event, or t0")
 
 
+_COMMON = ("master_seed", "threads", "out_path")
+
+#: subcommand -> (handler, help, ExperimentConfig fields taken as flags)
+_COMMANDS = {
+    "simulate": (run_simulate, "per-trial component counts", _COMMON + (
+        "n", "trials", "kappa", "area_samples", "boundary_points",
+        "no_timing", "dump_crit")),
+    "scaling": (run_scaling, "component scaling over an n list",
+                _COMMON + ("n_list", "trials", "kappa")),
+    "raster": (cmd_raster, "rasterize one trial and write a PPM",
+               _COMMON + ("n", "resolution", "bound", "kappa")),
+    "constants": (cmd_constants, "print the closed-form constants", ()),
+    "area": (cmd_area, "Gaussian/Edgeworth uncovered-area prediction",
+             _COMMON + ("n", "kappa", "c_n", "q1")),
+    "heavytail": (cmd_heavytail, "heavy-tailed walk interval probability",
+                  _COMMON + ("r", "n", "a", "b", "trials")),
+    "kacrice": (cmd_kacrice, "eps-integral and event estimators",
+                _COMMON + ("mode", "n", "kappa", "trials", "eps", "grid")),
+}
+_ALIASES = {"area": ["area-predict"]}
+_MODES = ["epsint", "on-event", "t0"]
+_FLAG_NAMES = {"master_seed": "--seed", "out_path": "--out", "resolution": "--res"}
+_HELP = {
+    "master_seed": "master seed (decimal or 0x hex)",
+    "threads": "worker threads (0 = auto)",
+    "out_path": "output file path",
+    "n": "polynomial degree",
+    "n_list": "comma-separated n values",
+    "q1": "include the skewness correction term",
+}
+
+
+def _flag_type(name, kind):
+    """A flag parses its value as a config file does."""
+    def parse(text):
+        return _coerce(name, kind, text)
+
+    parse.__name__ = kind.__name__  # argparse: "invalid int value: '4z'"
+    return parse
+
+
+def build_parser():
+    ap = argparse.ArgumentParser(
+        prog="lemlab",
+        description="simulation laboratory for unit-disc random polynomial "
+                    "lemniscates",
+    )
+    sub = ap.add_subparsers(dest="command", required=True)
+    for command, (_, help_text, names) in _COMMANDS.items():
+        p = sub.add_parser(command, aliases=_ALIASES.get(command, []), help=help_text)
+        p.set_defaults(command=command)
+        if names:
+            p.add_argument("--config", help="key=value config file")
+        for name in names:
+            flag = _FLAG_NAMES.get(name, "--" + name.replace("_", "-"))
+            kind = _KINDS[name]
+            if kind is bool:
+                p.add_argument(flag, dest=name, action="store_const", const=True,
+                               help=_HELP.get(name))
+            else:
+                p.add_argument(flag, dest=name, type=_flag_type(name, kind),
+                               choices=_MODES if name == "mode" else None,
+                               help=_HELP.get(name))
+    return ap
+
+
 def main(argv=None, out=sys.stdout):
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "constants":
-            cmd_constants(out)
-            return 0
-        cfg = _build_config(args)
-        cfg.command = {"area-predict": "area"}.get(args.command, args.command)
-        cfg.validate()
-        if cfg.command == "simulate":
-            run_simulate(cfg, out=out)
-        elif cfg.command == "scaling":
-            run_scaling(cfg, out=out)
-        elif cfg.command == "raster":
-            cmd_raster(cfg, out)
-        elif cfg.command == "area":
-            cmd_area(cfg, out)
-        elif cfg.command == "heavytail":
-            cmd_heavytail(cfg, out)
-        elif cfg.command == "kacrice":
-            cmd_kacrice(cfg, out)
+        cfg = _build_config(args).validate()
+        _COMMANDS[cfg.command][0](cfg, out)
         return 0
     except ValueError as exc:  # ConfigError and the library's argument checks
         print("config error: %s" % exc, file=sys.stderr)

@@ -1,11 +1,15 @@
 """Experiment harness: config, deterministic parallel trials, CSV output.
 
-Each trial is a pure function of (master_seed, trial_index): its
-substream is derived independently of every other trial, so any thread
-arrangement produces the same records.  Records are buffered, sorted by
-trial index, and written in one pass; summaries accumulate them in that
-order.  Outputs are therefore byte-identical across thread counts
-(timing column aside, which --no-timing zeroes).
+`run_trial(config, k, stream_base)` is one simulate trial on substream
+`stream_base + k` of the master seed, and `run_trials(config,
+stream_base)` runs trials 0 .. trials-1 on a thread pool.  `simulate`
+uses substreams from 0, and `scaling` gives each n its own block from
+`n << 32`, so its rows are independent.  Each trial is a pure function
+of (master_seed, substream), so any thread arrangement produces the
+same records.  Records are collected in trial order and written in
+one pass; summaries accumulate them in that order.  Outputs are
+therefore byte-identical across thread counts (timing column aside,
+which --no-timing zeroes).
 """
 
 from __future__ import annotations
@@ -52,16 +56,15 @@ class ExperimentConfig:
     bound: float = 1.25
     eps: float = 1e-3
     grid: int = 512
-    r: float = 0.5
-    a: float = 0.0
-    b: float = 0.0
+    r: float = 0.9
+    a: float = 200.0
+    b: float = 2000.0
     c_n: float = 0.0
     q1: bool = False
     mode: str = "epsint"
     out_path: str = ""
     area_samples: int = 1024
     boundary_points: int = 512
-    solver_max_iters: int = 120
     no_timing: bool = False
     dump_crit: bool = False
     n_list: tuple = ()
@@ -78,7 +81,6 @@ class ExperimentConfig:
             (self.grid >= 256, "grid >= 256"),
             (self.area_samples >= 1, "area_samples >= 1"),
             (self.boundary_points >= 256, "boundary_points >= 256"),
-            (self.solver_max_iters >= 1, "solver_max_iters >= 1"),
             (self.master_seed >= 0, "master_seed >= 0"),
         ]
         for ok, what in checks:
@@ -86,6 +88,8 @@ class ExperimentConfig:
                 raise ConfigError("config violates %s" % what)
         if self.command == "scaling" and len(self.n_list) < 2:
             raise ConfigError("scaling needs at least two n values")
+        if self.dump_crit and not self.out_path:
+            raise ConfigError("dump_crit needs out_path")
         return self
 
 
@@ -104,17 +108,21 @@ def read_config_file(path):
     """Plain key=value lines; '#' starts a comment."""
     values = {}
     known = set(ExperimentConfig.__dataclass_fields__)
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError("%s:%d: expected key=value" % (path, lineno))
-            key, val = (part.strip() for part in line.split("=", 1))
-            if key not in known:
-                raise ConfigError("%s:%d: unknown key %r" % (path, lineno, key))
-            values[key] = val
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ConfigError("cannot read config file: %s" % exc) from exc
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError("%s:%d: expected key=value" % (path, lineno))
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key not in known:
+            raise ConfigError("%s:%d: unknown key %r" % (path, lineno, key))
+        values[key] = val
     return values
 
 
@@ -192,31 +200,30 @@ class TrialRecord:
         )
 
 
-def run_trial(config, trial_index, stream_index=None):
-    """One full simulate trial; never raises on solver failure."""
+def run_trial(config, trial_index, stream_base=0):
+    """One full simulate trial on substream stream_base + trial_index.
+
+    Returns (record, poly, crit); crit is None when the trial failed.
+    Never raises on solver failure.
+    """
     t0 = time.perf_counter_ns()
-    stream = derive_substream(
-        config.master_seed,
-        trial_index if stream_index is None else stream_index,
-    )
+    stream = derive_substream(config.master_seed, stream_base + trial_index)
     n = config.n
     roots = sample_disc_array(stream, n)
     poly = RootedPolynomial(roots)
     rec = TrialRecord(trial_index=trial_index, n=n)
     try:
-        crit = find_critical_points(
-            poly, max_iters=config.solver_max_iters, stream=stream
-        )
+        crit = find_critical_points(poly, stream=stream)
     except RootCollisionError as exc:
         rec.failed = True
         rec.fail_reason = "root-collision: %s" % exc
-        return rec, None, None
+        return rec, poly, None
     if not crit.converged:
         rec.failed = True
         rec.fail_reason = "solver did not converge (max residual %g)" % (
             float(crit.residuals.max()) if len(crit) else math.nan
         )
-        return rec, None, None
+        return rec, poly, None
     report = count_components(poly, crit, kappa=config.kappa)
     rec.components = report.components
     rec.components_annulus = report.components_annulus
@@ -232,31 +239,32 @@ def run_trial(config, trial_index, stream_index=None):
     return rec, poly, crit
 
 
-def _run_trials(config, indices, stream_indices=None):
-    """Execute trials under the configured thread count; index-sorted list."""
+def run_trials(config, stream_base=0):
+    """All config.trials trials, trial k on substream stream_base + k.
+
+    Runs under the configured thread count; returns the records in
+    trial order (pool.map keeps its input order).
+    """
     workers = config.threads if config.threads > 0 else (os.cpu_count() or 1)
 
     def job(k):
-        idx = indices[k]
-        sidx = None if stream_indices is None else stream_indices[k]
-        rec, poly, crit = run_trial(config, idx, stream_index=sidx)
-        if config.dump_crit and crit is not None and config.out_path:
-            path = "%s.crit.%d.csv" % (config.out_path, idx)
-            with open(path, "w") as fh:
+        rec, _, crit = run_trial(config, k, stream_base)
+        if config.dump_crit and crit is not None:
+            with open("%s.crit.%d.csv" % (config.out_path, k), "w") as fh:
                 for p, res in zip(crit.points, crit.residuals):
                     fh.write("%r,%r,%r\n" % (float(p.real), float(p.imag), float(res)))
         return rec
 
-    if workers <= 1 or len(indices) == 1:
-        records = [job(k) for k in range(len(indices))]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(job, range(len(indices))))
-    records.sort(key=lambda r: r.trial_index)
-    return records
+    if workers <= 1 or config.trials == 1:
+        return [job(k) for k in range(config.trials)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(job, range(config.trials)))
 
 
-def _write_outputs(config, records, out):
+def run_simulate(config, out=sys.stdout):
+    """The headline experiment: per-trial component counts plus summary."""
+    config.validate()
+    records = run_trials(config)
     ok = [r for r in records if not r.failed]
     failed = [r for r in records if r.failed]
     if config.out_path:
@@ -268,14 +276,6 @@ def _write_outputs(config, records, out):
             with open(config.out_path + ".failures", "w") as fh:
                 for rec in failed:
                     fh.write("%d,%s\n" % (rec.trial_index, rec.fail_reason))
-    return ok, failed
-
-
-def run_simulate(config, out=sys.stdout):
-    """The headline experiment: per-trial component counts plus summary."""
-    config.validate()
-    records = _run_trials(config, list(range(config.trials)))
-    ok, failed = _write_outputs(config, records, out)
     if ok:
         comp = summarize(r.components for r in ok)
         scaled_mean = comp.mean / math.sqrt(config.n)
@@ -304,15 +304,14 @@ def run_scaling(config, out=sys.stdout):
     """Component-count scaling across an n-list, with the sqrt(n) bracket."""
     config.validate()
     rows = []
+    table = ["n,trials,failures,mean_components,se,mean_over_sqrt_n,se_over_sqrt_n"]
     print("# scaling seed=%d trials=%d kappa=%g" % (
         config.master_seed, config.trials, config.kappa), file=out)
-    print("n,trials,failures,mean_components,se,mean_over_sqrt_n,se_over_sqrt_n",
-          file=out)
+    print(table[0], file=out)
     for n in config.n_list:
         sub = replace(config, n=int(n), command="simulate")
-        # distinct substreams per n so rows are independent
-        stream_indices = [int(n) * (1 << 32) + t for t in range(config.trials)]
-        records = _run_trials(sub, list(range(config.trials)), stream_indices)
+        # substreams n << 32 onwards, so rows are independent
+        records = run_trials(sub, int(n) << 32)
         ok = [r for r in records if not r.failed]
         failed = len(records) - len(ok)
         if failed > FAILURE_ABORT_FRACTION * config.trials:
@@ -322,19 +321,15 @@ def run_scaling(config, out=sys.stdout):
         row = (int(n), comp.count, failed, comp.mean, comp.se,
                comp.mean / sq, comp.se / sq)
         rows.append(row)
-        print("%d,%d,%d,%r,%r,%r,%r" % row, file=out)
-    lim = limit_constant()
-    for row in rows:
-        n, _, _, _, _, scaled, _ = row
+        table.append("%d,%d,%d,%r,%r,%r,%r" % row)
+        print(table[-1], file=out)
+    for n, _, _, _, _, scaled, _ in rows:
         if n >= 100 and not (SCALING_BRACKET[0] <= scaled <= SCALING_BRACKET[1]):
             raise NumericFailureError(
                 "n=%d: mean/sqrt(n)=%.4f outside %s" % (n, scaled, SCALING_BRACKET)
             )
-    print("# limit constant = %.10f" % lim, file=out)
+    print("# limit constant = %.10f" % limit_constant(), file=out)
     if config.out_path:
         with open(config.out_path, "w") as fh:
-            fh.write("n,trials,failures,mean_components,se,"
-                     "mean_over_sqrt_n,se_over_sqrt_n\n")
-            for row in rows:
-                fh.write("%d,%d,%d,%r,%r,%r,%r\n" % row)
+            fh.write("\n".join(table) + "\n")
     return rows

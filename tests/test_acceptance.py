@@ -34,7 +34,13 @@ from lemlab.components import (
     inradius_holds,
 )
 from lemlab.critical import find_critical_points
-from lemlab.harness import CSV_HEADER, ExperimentConfig, run_simulate, run_trial
+from lemlab.harness import (
+    CSV_HEADER,
+    ExperimentConfig,
+    run_simulate,
+    run_trial,
+    run_trials,
+)
 from lemlab.heavytail import sample_y, single_jump_prediction, walk_interval_prob_mc
 from lemlab.kacrice import epsilon_count, estimate_p_on_and_mn, estimate_t0
 from lemlab.polyeval import RootedPolynomial, log_abs_p
@@ -334,10 +340,7 @@ def test_criterion_11_headline_scaling():
             n=n, trials=2000, master_seed=4212, kappa=2.0, threads=2,
             no_timing=True, area_samples=256,
         )
-        from lemlab.harness import _run_trials
-
-        stream_indices = [n * (1 << 32) + t for t in range(cfg.trials)]
-        records = _run_trials(cfg, list(range(cfg.trials)), stream_indices)
+        records = run_trials(cfg, n << 32)
         assert not any(r.failed for r in records)
         comps = np.array([r.components for r in records], dtype=float)
         results[n] = comps.mean() / math.sqrt(n)

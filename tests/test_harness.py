@@ -7,6 +7,9 @@ import sys
 import numpy as np
 import pytest
 
+from lemlab import harness
+from lemlab.cli import build_parser, main
+from lemlab.critical import RootCollisionError, find_critical_points
 from lemlab.harness import (
     CSV_HEADER,
     ConfigError,
@@ -134,12 +137,13 @@ def test_simulate_deterministic_across_thread_counts(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_failure_sidecar_and_abort(tmp_path):
+def test_failure_sidecar_and_abort(tmp_path, monkeypatch):
     out = tmp_path / "fail.csv"
     cfg = ExperimentConfig(
-        n=150, trials=5, master_seed=3, solver_max_iters=1,
-        out_path=str(out), no_timing=True,
+        n=150, trials=5, master_seed=3, out_path=str(out), no_timing=True,
     )
+    monkeypatch.setattr(harness, "find_critical_points",
+                        lambda poly, stream: find_critical_points(poly, 1, stream))
     with pytest.raises(NumericFailureError):
         run_simulate(cfg, out=io.StringIO())
     sidecar = (str(out) + ".failures")
@@ -158,10 +162,12 @@ def test_cli_exit_codes(tmp_path):
         capture_output=True, cwd=os.path.dirname(os.path.dirname(__file__)),
     )
     assert r.returncode == 2  # unknown flags rejected
-    # parameters the library rejects: heavytail's own defaults put a below
-    # the right cut, the event needs n >= 3, the area prediction n >= 2
-    for argv in (["heavytail"], ["kacrice", "--mode", "t0", "--n", "2"],
-                 ["area", "--n", "1"]):
+    # parameters the library rejects: a below heavytail's right cut, the
+    # event needs n >= 3, the area prediction n >= 2; and an unreadable
+    # config file
+    for argv in (["heavytail", "--a", "0"], ["kacrice", "--mode", "t0", "--n", "2"],
+                 ["area", "--n", "1"],
+                 ["simulate", "--config", str(tmp_path / "missing")]):
         r = subprocess.run(
             [sys.executable, "-m", "lemlab.cli"] + argv,
             capture_output=True, text=True,
@@ -208,3 +214,94 @@ def test_dump_crit_flag(tmp_path):
         re_s, im_s, res_s = line.split(",")
         assert abs(complex(float(re_s), float(im_s))) <= 1.0 + 1e-9
         assert float(res_s) < 1e-10
+
+
+def test_dump_crit_needs_out(capsys):
+    with pytest.raises(ConfigError):
+        ExperimentConfig(n=6, trials=2, dump_crit=True).validate()
+    assert main(["simulate", "--n", "6", "--trials", "2", "--dump-crit"]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_cli_seed_error_names_flag_and_value(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--seed", "4z"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err and "'4z'" in err and "functools" not in err
+
+
+def test_cli_area_alias_and_heavytail_defaults():
+    assert build_parser().parse_args(["area-predict"]).command == "area"
+    cfg = ExperimentConfig()
+    assert (cfg.r, cfg.a, cfg.b) == (0.9, 200.0, 2000.0)
+    assert main(["heavytail", "--trials", "10"], out=io.StringIO()) == 0
+
+
+# fixed-seed CLI outputs recorded before the flag and trial-runner rework;
+# integer columns and counts are exact, floats at rel 1e-9
+SIM_COMPONENTS = "1111213211325242412121611211135131412121"
+SIM_AREAS = (0.0674951546669682, 0.16566992509164924, 0.05829126993965436)
+SCALING_ROWS = [
+    (10, 300, 0, 1.029999999999999, 0.009865313716031492,
+     0.32571459899734273, 0.0031196861174759083),
+    (20, 300, 0, 1.1400000000000006, 0.022177956655809808,
+     0.25491174943497613, 0.004959141868443463),
+]
+
+
+def test_cli_outputs_pinned_simulate(tmp_path):
+    out = tmp_path / "sim.csv"
+    buf = io.StringIO()
+    assert main(["simulate", "--n", "100", "--trials", "40", "--seed", "7",
+                 "--threads", "2", "--no-timing", "--out", str(out)], out=buf) == 0
+    assert "# records=40 failures=0" in buf.getvalue()
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [int(r[0]) for r in rows] == list(range(40))
+    assert "".join(r[2] for r in rows) == SIM_COMPONENTS
+    assert "".join(r[3] for r in rows) == SIM_COMPONENTS
+    assert all(r[7] == "1" and r[8] == "0" for r in rows)
+    assert [float(r[5]) for r in rows[:3]] == pytest.approx(SIM_AREAS, rel=1e-9)
+
+
+def test_cli_outputs_pinned_scaling(tmp_path):
+    out = tmp_path / "scaling.csv"
+    buf = io.StringIO()
+    assert main(["scaling", "--n-list", "10,20", "--trials", "300", "--seed", "1",
+                 "--out", str(out)], out=buf) == 0
+    printed = buf.getvalue().splitlines()
+    written = out.read_text().splitlines()
+    assert printed[1:4] == written
+    for line, pinned in zip(written[1:], SCALING_ROWS):
+        fields = line.split(",")
+        assert [int(x) for x in fields[:3]] == list(pinned[:3])
+        assert [float(x) for x in fields[3:]] == pytest.approx(pinned[3:], rel=1e-9)
+
+
+def test_cli_outputs_pinned_raster(tmp_path):
+    path = tmp_path / "lem.ppm"
+    buf = io.StringIO()
+    assert main(["raster", "--n", "100", "--seed", "1", "--res", "512",
+                 "--out", str(path)], out=buf) == 0
+    assert buf.getvalue().splitlines()[1:] == [
+        "pixel_components,critical_value_components", "2,4"]
+    data = path.read_bytes()
+    header = b"P6\n512 512\n255\n"
+    assert data.startswith(header)
+    img = np.frombuffer(data[len(header):], dtype=np.uint8).reshape(-1, 3)
+    colors, counts = np.unique(img, axis=0, return_counts=True)
+    assert {tuple(int(v) for v in c): int(k) for c, k in zip(colors, counts)} == {
+        (0, 200, 0): 77812, (150, 230, 150): 9931, (220, 40, 40): 11036,
+        (240, 220, 60): 42940, (255, 255, 255): 120425,
+    }
+
+
+def test_cli_raster_root_collision_prints_minus_one(tmp_path, monkeypatch):
+    def collide(poly, stream):
+        raise RootCollisionError("forced")
+
+    monkeypatch.setattr(harness, "find_critical_points", collide)
+    buf = io.StringIO()
+    assert main(["raster", "--n", "12", "--seed", "7", "--res", "64",
+                 "--out", str(tmp_path / "lem.ppm")], out=buf) == 0
+    assert buf.getvalue().splitlines()[-1].endswith(",-1")
