@@ -2,8 +2,9 @@
 
 Route one: solve for all n-1 critical points (zeros of sum 1/(z - x_k)),
 and count critical values with log|P| > 0; the component count is one
-more than that.  Route two: rasterize {log|P| < 0} and flood-fill the
-pixel mask.  The two counts agree except on vanishingly rare near-ties.
+more than that.  Route two: rasterize {log|P| < 0} and count the
+4-connected components of the pixel mask.  The two counts agree except
+on vanishingly rare near-ties.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ from lemlab import (
     count_components,
     derive_substream,
     find_critical_points,
-    flood_count,
+    mask_component_stats,
     pairing_distances,
     rasterize,
     sample_disc_array,
@@ -39,4 +40,5 @@ print("\ncritical-value count: %d components (%d critical values outside)"
 print("restricted to the thin annulus: %d" % report.components_annulus)
 
 grid = rasterize(poly, 2048, bound=2.05)
-print("flood-fill count at 2048^2: %d components" % flood_count(grid))
+print("pixel count at 2048^2: %d components"
+      % mask_component_stats(grid.inside_mask)[0])

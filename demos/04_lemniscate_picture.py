@@ -10,7 +10,7 @@ image tool, e.g. `magick lemniscate_n100.ppm lemniscate_n100.png`.
 from lemlab import (
     RootedPolynomial,
     derive_substream,
-    flood_count,
+    mask_component_stats,
     rasterize,
     sample_disc_array,
     write_ppm,
@@ -23,4 +23,4 @@ for n in (100, 300):
     path = "lemniscate_n%d.ppm" % n
     write_ppm(grid, poly, kappa=2.0, path=path)
     print("n=%4d -> %s (%d pixel components in the window)"
-          % (n, path, flood_count(grid)))
+          % (n, path, mask_component_stats(grid.inside_mask)[0]))

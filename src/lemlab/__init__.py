@@ -4,7 +4,7 @@ The polynomial P(z) = prod (z - X_k) with i.i.d. uniform unit-disc roots
 has a unit lemniscate {|P| < 1} whose expected number of connected
 components grows like sqrt((zeta(2)-1)/pi) * sqrt(n).  This package
 samples the model, counts components exactly through critical values,
-cross-checks the count with a pixel flood-fill oracle, and estimates the
+cross-checks the count with a pixel component oracle, and estimates the
 limiting constants by Monte Carlo against their closed forms.
 """
 
@@ -55,15 +55,8 @@ from .kacrice import (
     estimate_p_on_and_mn,
     estimate_t0,
 )
-from .polyeval import (
-    RootedPolynomial,
-    log_abs_p,
-    r_sum,
-    roots_from_csv,
-    roots_to_csv,
-    s_sum,
-)
-from .raster import RasterGrid, flood_count, rasterize, write_ppm
+from .polyeval import RootedPolynomial, log_abs_p
+from .raster import RasterGrid, mask_component_stats, rasterize, write_ppm
 from .rng import RngStream, derive_substream, sample_disc_array
 
 __version__ = "0.1.0"

@@ -6,7 +6,8 @@ field of its name (--seed, --out and --res set master_seed, out_path
 and resolution) and is parsed exactly as that key is in a --config
 file of key=value lines.  The file supplies defaults; explicit flags
 win.  Seeds are decimal or 0x-prefixed hex.  Exit codes: 0 success, 2
-configuration error, 3 numeric failure (solver failure rate or a
+configuration error (an unwritable --out included, found before any
+trial runs), 3 numeric failure (solver failure rate or a
 violated numeric contract).
 """
 
@@ -21,6 +22,7 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     NumericFailureError,
+    claim_output,
     parse_seed,
     read_config_file,
     run_scaling,
@@ -84,16 +86,17 @@ def cmd_constants(cfg, out):
 
 
 def cmd_raster(cfg, out):
-    from .raster import flood_count, rasterize, write_ppm
+    from .raster import mask_component_stats, rasterize, write_ppm
 
+    path = cfg.out_path or "lemniscate_n%d_seed%d.ppm" % (cfg.n, cfg.master_seed)
+    claim_output(path)
     rec, poly, _ = run_trial(cfg, 0)
     grid = rasterize(poly, cfg.resolution, cfg.bound)
     counted = -1 if rec.failed else rec.components
-    path = cfg.out_path or "lemniscate_n%d_seed%d.ppm" % (cfg.n, cfg.master_seed)
     write_ppm(grid, poly, cfg.kappa, path)
     print("# wrote %s" % path, file=out)
     print("pixel_components,critical_value_components", file=out)
-    print("%d,%d" % (flood_count(grid), counted), file=out)
+    print("%d,%d" % (mask_component_stats(grid.inside_mask)[0], counted), file=out)
 
 
 def cmd_area(cfg, out):
@@ -221,7 +224,7 @@ def main(argv=None, out=sys.stdout):
         cfg = _build_config(args).validate()
         _COMMANDS[cfg.command][0](cfg, out)
         return 0
-    except ValueError as exc:  # ConfigError and the library's argument checks
+    except (ValueError, OSError) as exc:  # also the library's checks and --out
         print("config error: %s" % exc, file=sys.stderr)
         return 2
     except (NumericFailureError, OverflowError) as exc:

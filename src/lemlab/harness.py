@@ -72,6 +72,7 @@ class ExperimentConfig:
     def validate(self):
         checks = [
             (self.n >= 1, "n >= 1"),
+            (all(k >= 1 for k in self.n_list), "n_list entries >= 1"),
             (self.trials >= 1, "trials >= 1"),
             (self.kappa > 0, "kappa > 0"),
             (self.threads >= 0, "threads >= 0"),
@@ -102,6 +103,12 @@ def parse_seed(text):
         return int(text, 10)
     except ValueError as exc:
         raise ConfigError("bad seed %r (decimal or 0x hex)" % text) from exc
+
+
+def claim_output(path):
+    """Create `path` (or open it intact) so an unwritable output fails early."""
+    if path:
+        open(path, "a").close()
 
 
 def read_config_file(path):
@@ -264,6 +271,7 @@ def run_trials(config, stream_base=0):
 def run_simulate(config, out=sys.stdout):
     """The headline experiment: per-trial component counts plus summary."""
     config.validate()
+    claim_output(config.out_path)
     records = run_trials(config)
     ok = [r for r in records if not r.failed]
     failed = [r for r in records if r.failed]
@@ -303,6 +311,7 @@ SCALING_BRACKET = (0.2, 1.0)
 def run_scaling(config, out=sys.stdout):
     """Component-count scaling across an n-list, with the sqrt(n) bracket."""
     config.validate()
+    claim_output(config.out_path)
     rows = []
     table = ["n,trials,failures,mean_components,se,mean_over_sqrt_n,se_over_sqrt_n"]
     print("# scaling seed=%d trials=%d kappa=%g" % (

@@ -20,9 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 
-#: below this distance s_sum and r_sum treat a query point as sitting on a root
-COINCIDENCE_TOL = 1e-300
-
 #: construction-time minimum allowed distance between two roots
 DISTINCT_TOL = 1e-15
 
@@ -111,13 +108,6 @@ def _diff(poly, z, skip):
     return np.asarray(z, dtype=np.complex128)[..., None] - roots
 
 
-def _checked_recip_sums(poly, z, skip):
-    diff = _diff(poly, z, skip)
-    if np.abs(diff).min(initial=np.inf) < COINCIDENCE_TOL:
-        raise ValueError("z coincides with a non-skipped root")
-    return recip_sums(diff)
-
-
 def log_abs_p(poly, z, skip=None):
     """log|P(z)| over the non-skipped roots; -inf if z sits on one of them.
 
@@ -126,39 +116,3 @@ def log_abs_p(poly, z, skip=None):
     """
     out = log_modulus(_diff(poly, z, skip))
     return out if out.ndim else float(out)
-
-
-def s_sum(poly, z, skip=None):
-    """sum over non-skipped roots of 1/(z - x_k).
-
-    Raises ValueError if z coincides (within COINCIDENCE_TOL) with a
-    non-skipped root.
-    """
-    out = _checked_recip_sums(poly, z, skip)[0]
-    return out if out.ndim else complex(out)
-
-
-def r_sum(poly, z, skip=None):
-    """sum over non-skipped roots of 1/(z - x_k)^2 (same guard as s_sum)."""
-    out = _checked_recip_sums(poly, z, skip)[1]
-    return out if out.ndim else complex(out)
-
-
-def roots_to_csv(poly, path):
-    """Write the root set as one "re,im" line per root."""
-    with open(path, "w") as fh:
-        for x in poly.roots:
-            fh.write("%r,%r\n" % (float(x.real), float(x.imag)))
-
-
-def roots_from_csv(path):
-    """Read a root set written by roots_to_csv."""
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            re_s, im_s = line.split(",")
-            rows.append(complex(float(re_s), float(im_s)))
-    return RootedPolynomial(rows)

@@ -7,11 +7,12 @@ cell diagonal), so any cell whose center value clears that bound is
 uniformly inside or outside and is block-filled; only cells straddling
 the zero level set (or touching a root) are refined down to single
 pixels.  The result is bit-identical to brute-force evaluation of
-log|P| at all pixel centers, at a fraction of the cost.
+log|P| at all pixel centers, at a fraction of the cost.  Cell values
+take one log per product of _PRODUCT_CHUNK squared root distances.
 
-`flood_count` labels 4-connected components via run-length encoding and
-union-find on runs, which is much cheaper than per-pixel labeling for
-masks whose boundary is a curve.
+`mask_component_stats` reads the mask's runs in one pass over blocks of
+rows and joins overlapping runs of adjacent rows by union-find; with no
+label image, its cost follows the runs, far fewer than the pixels.
 """
 
 from __future__ import annotations
@@ -23,8 +24,11 @@ import numpy as np
 #: refuse grids above this many pixels (memory guard)
 MAX_PIXELS = 1 << 26
 
-#: root count above which log-accumulation replaces the product trick
-_PRODUCT_MAX_N = 24
+#: squared root distances multiplied before each log is taken
+_PRODUCT_CHUNK = 24
+
+#: rows per block in the run-extraction pass
+_RUN_BLOCK_ROWS = 256
 
 
 class GridMemoryError(MemoryError):
@@ -37,14 +41,11 @@ class RasterGrid:
 
     Row 0 is the top of the image (y = +bound); pixel (i, j) has center
     x = -bound + (j + 0.5) * (2*bound/res), y = bound - (i + 0.5) * (...).
-    `labels` is 0 outside, a positive component id inside, and is filled
-    by flood_count.
     """
 
     resolution: int
     bound: float
     inside_mask: np.ndarray
-    labels: np.ndarray | None = None
 
     def pixel_size(self):
         return 2.0 * self.bound / self.resolution
@@ -59,31 +60,26 @@ def _pixel_centers(resolution, bound):
 
 def _cell_values(roots, x, y, want_bound, rho):
     """log|P| at cell centers, plus the Lipschitz radius bound if wanted."""
-    n = roots.size
-    use_product = n <= _PRODUCT_MAX_N
-    prod = np.ones_like(x) if use_product else None
-    logsum = None if use_product else np.zeros_like(x)
+    v = None
     ssum = np.zeros_like(x) if want_bound else None
     ok = np.ones(x.shape, dtype=bool) if want_bound else None
-    for r in roots:
-        dx = x - r.real
-        dy = y - r.imag
-        sq = dx * dx + dy * dy
-        if use_product:
+    for start in range(0, roots.size, _PRODUCT_CHUNK):
+        prod = np.ones_like(x)
+        for r in roots[start:start + _PRODUCT_CHUNK]:
+            dx = x - r.real
+            dy = y - r.imag
+            sq = dx * dx + dy * dy
             prod *= sq
-        else:
-            with np.errstate(divide="ignore"):
-                logsum += np.log(sq)
-        if want_bound:
-            gap = np.sqrt(sq) - rho
-            bad = gap <= 0.0
-            ok &= ~bad
-            ssum += 1.0 / np.where(bad, 1.0, gap)
-    if use_product:
+            if want_bound:
+                gap = np.sqrt(sq) - rho
+                bad = gap <= 0.0
+                ok &= ~bad
+                ssum += 1.0 / np.where(bad, 1.0, gap)
         with np.errstate(divide="ignore"):
-            v = 0.5 * np.log(prod)
-    else:
-        v = 0.5 * logsum
+            np.log(prod, out=prod)
+        # logs in place, the first chunk's as v: no extra cell-sized array
+        v = prod if v is None else np.add(v, prod, out=v)
+    v *= 0.5
     if not want_bound:
         return v, None, None
     bnd = rho * ssum * (1.0 + 1e-12) + 1e-12
@@ -135,41 +131,33 @@ def rasterize(poly, resolution, bound=1.25):
 
 
 def _mask_runs(mask):
-    """Row-major run-length encoding: (row, col_start, col_end_exclusive)."""
-    trans = mask[:, 1:] != mask[:, :-1]
-    rt, ct = np.nonzero(trans)
-    is_rise = mask[rt, ct + 1]
-    rs = rt[is_rise]
-    cs = ct[is_rise] + 1
-    re_ = rt[~is_rise]
-    ce = ct[~is_rise] + 1
-    first = np.nonzero(mask[:, 0])[0]
-    if first.size:
-        rs = np.concatenate([rs, first])
-        cs = np.concatenate([cs, np.zeros(first.size, dtype=cs.dtype)])
-    last = np.nonzero(mask[:, -1])[0]
-    if last.size:
-        re_ = np.concatenate([re_, last])
-        ce = np.concatenate([ce, np.full(last.size, mask.shape[1], dtype=ce.dtype)])
-    # restore row-major order, starts and ends pairing up within each row
-    if first.size:
-        o = np.lexsort((cs, rs))
-        rs, cs = rs[o], cs[o]
-    if last.size:
-        o = np.lexsort((ce, re_))
-        re_, ce = re_[o], ce[o]
-    assert rs.shape == re_.shape
-    return rs, cs, ce
+    """Row-major runs of True: (row, col_start, col_end_exclusive).
+
+    Blocks of rows are copied into one buffer with a False column on
+    each side, so in each row the transitions alternate rise, fall and
+    come out of flatnonzero in row-major order, already paired.  The
+    buffer keeps the extra memory to one block, not a padded mask.
+    """
+    nrows, ncols = mask.shape
+    width = ncols + 1
+    buf = np.zeros((min(_RUN_BLOCK_ROWS, nrows), ncols + 2), dtype=bool)
+    flat = []
+    for r0 in range(0, nrows, _RUN_BLOCK_ROWS):
+        b = buf[:min(_RUN_BLOCK_ROWS, nrows - r0)]
+        b[:, 1:-1] = mask[r0:r0 + b.shape[0]]
+        flat.append(np.flatnonzero(b[:, 1:] != b[:, :-1]) + r0 * width)
+    rows, cols = np.divmod(np.concatenate(flat), width)
+    return rows[0::2], cols[0::2], cols[1::2]
 
 
 def _union_runs(res, rows, c0, c1):
-    """Union-find over runs; returns per-run compact labels and the count.
+    """Union-find over runs; returns 0-based per-run labels and the count.
 
-    Compact labels are assigned in order of first appearance (row-major),
-    making the labeling deterministic.
+    The union keeps the smaller run index as the root, so each root is
+    its component's first run and labels follow first appearance in
+    row-major order, which makes the labeling deterministic.
     """
-    nruns = rows.size
-    parent = np.arange(nruns, dtype=np.int64)
+    parent = np.arange(rows.size, dtype=np.int64)
 
     def find(a):
         while parent[a] != a:
@@ -194,56 +182,37 @@ def _union_runs(res, rows, c0, c1):
                     i += 1
                 else:
                     j += 1
-    compact = {}
-    run_label = np.empty(nruns, dtype=np.int32)
-    for k in range(nruns):
-        root = find(k)
-        lab = compact.get(root)
-        if lab is None:
-            lab = len(compact) + 1
-            compact[root] = lab
-        run_label[k] = lab
-    return run_label, len(compact)
+    # every pointer goes to a smaller index, so jumping reaches the roots
+    while True:
+        up = parent[parent]
+        if np.array_equal(up, parent):
+            break
+        parent = up
+    roots, run_label = np.unique(parent, return_inverse=True)
+    return run_label, roots.size
 
 
 def mask_component_stats(mask):
-    """(count, sizes, bboxes) of 4-connected components, without labels.
+    """(count, sizes, bboxes) of the 4-connected components of `mask`.
 
-    bboxes has one row (rmin, rmax, cmin, cmax) per component, inclusive.
+    bboxes has one row (rmin, rmax, cmin, cmax) per component, inclusive;
+    components are ordered by their first pixel in row-major order.
     """
     res = mask.shape[0]
     rows, c0, c1 = _mask_runs(mask)
-    if rows.size == 0:
-        return 0, np.empty(0, np.int64), np.empty((0, 4), np.int64)
     run_label, count = _union_runs(res, rows, c0, c1)
     sizes = np.zeros(count, dtype=np.int64)
-    np.add.at(sizes, run_label - 1, c1 - c0)
+    np.add.at(sizes, run_label, c1 - c0)
     bbox = np.empty((count, 4), dtype=np.int64)
     bbox[:, 0] = res
     bbox[:, 1] = -1
     bbox[:, 2] = res
     bbox[:, 3] = -1
-    np.minimum.at(bbox[:, 0], run_label - 1, rows)
-    np.maximum.at(bbox[:, 1], run_label - 1, rows)
-    np.minimum.at(bbox[:, 2], run_label - 1, c0)
-    np.maximum.at(bbox[:, 3], run_label - 1, c1 - 1)
+    np.minimum.at(bbox[:, 0], run_label, rows)
+    np.maximum.at(bbox[:, 1], run_label, rows)
+    np.minimum.at(bbox[:, 2], run_label, c0)
+    np.maximum.at(bbox[:, 3], run_label, c1 - 1)
     return count, sizes, bbox
-
-
-def flood_count(grid):
-    """Number of 4-connected inside components; also writes grid.labels."""
-    mask = grid.inside_mask
-    res = grid.resolution
-    rows, c0, c1 = _mask_runs(mask)
-    labels = np.zeros(mask.shape, dtype=np.int32)
-    if rows.size == 0:
-        grid.labels = labels
-        return 0
-    run_label, count = _union_runs(res, rows, c0, c1)
-    for k in range(rows.size):
-        labels[rows[k], c0[k]:c1[k]] = run_label[k]
-    grid.labels = labels
-    return count
 
 
 # ---------------------------------------------------------------- imaging

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from lemlab import harness
+from lemlab import cli, harness
 from lemlab.cli import build_parser, main
 from lemlab.critical import RootCollisionError, find_critical_points
 from lemlab.harness import (
@@ -151,7 +151,7 @@ def test_failure_sidecar_and_abort(tmp_path, monkeypatch):
     assert "did not converge" in open(sidecar).read()
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     r = subprocess.run(
         [sys.executable, "-m", "lemlab.cli", "simulate", "--n", "0"],
         capture_output=True, cwd=os.path.dirname(os.path.dirname(__file__)),
@@ -163,11 +163,13 @@ def test_cli_exit_codes(tmp_path):
     )
     assert r.returncode == 2  # unknown flags rejected
     # parameters the library rejects: a below heavytail's right cut, the
-    # event needs n >= 3, the area prediction n >= 2; and an unreadable
-    # config file
+    # event needs n >= 3, the area prediction n >= 2; an unreadable config
+    # file and an n_list entry below 1
+    missing = tmp_path / "missing"
     for argv in (["heavytail", "--a", "0"], ["kacrice", "--mode", "t0", "--n", "2"],
                  ["area", "--n", "1"],
-                 ["simulate", "--config", str(tmp_path / "missing")]):
+                 ["simulate", "--config", str(missing)],
+                 ["scaling", "--n-list", "0,10", "--trials", "5"]):
         r = subprocess.run(
             [sys.executable, "-m", "lemlab.cli"] + argv,
             capture_output=True, text=True,
@@ -175,6 +177,15 @@ def test_cli_exit_codes(tmp_path):
         )
         assert r.returncode == 2, argv
         assert r.stderr.startswith("config error:") and "Traceback" not in r.stderr
+        assert r.stdout == "", argv
+    # an --out in a missing directory is found before any trial runs
+    ran = []
+    monkeypatch.setattr(harness, "run_trial", lambda *args: ran.append(args))
+    monkeypatch.setattr(cli, "run_trial", lambda *args: ran.append(args))
+    for command, name in (("simulate", "x.csv"), ("raster", "x.ppm")):
+        assert main([command, "--out", str(missing / name)], out=io.StringIO()) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+    assert ran == []
     r = subprocess.run(
         [sys.executable, "-m", "lemlab.cli", "constants"],
         capture_output=True, text=True,

@@ -5,14 +5,7 @@ from scipy import ndimage
 from lemlab.components import count_components
 from lemlab.critical import find_critical_points
 from lemlab.polyeval import RootedPolynomial
-from lemlab.raster import (
-    GridMemoryError,
-    RasterGrid,
-    flood_count,
-    mask_component_stats,
-    rasterize,
-    write_ppm,
-)
+from lemlab.raster import GridMemoryError, mask_component_stats, rasterize, write_ppm
 from lemlab.rng import derive_substream, sample_disc_array
 
 CROSS = [[0, 1, 0], [1, 1, 1], [0, 1, 0]]
@@ -58,36 +51,46 @@ def test_every_root_pixel_is_inside():
         assert grid.inside_mask[i, j]
 
 
-def test_flood_count_trivial_and_synthetic():
+def test_component_stats_trivial_and_synthetic():
     poly = RootedPolynomial([0.0])
-    grid = rasterize(poly, 128, 1.25)
-    assert flood_count(grid) == 1
+    assert mask_component_stats(rasterize(poly, 128, 1.25).inside_mask)[0] == 1
     mask = np.zeros((128, 128), dtype=bool)
     mask[10:14, 10:14] = True
     mask[100:110, 90:95] = True
-    synth = RasterGrid(resolution=128, bound=1.25, inside_mask=mask)
-    assert flood_count(synth) == 2
-    # labels written, positive exactly on the mask
-    assert (synth.labels > 0).sum() == mask.sum()
-    assert set(np.unique(synth.labels)) == {0, 1, 2}
+    cnt, sizes, bbox = mask_component_stats(mask)
+    assert cnt == 2
+    assert sizes.tolist() == [16, 50]
+    assert bbox.tolist() == [[10, 13, 10, 13], [100, 109, 90, 94]]
+
+
+def _random_masks(rng):
+    for density in (0.2, 0.45, 0.6):
+        for _ in range(10):
+            yield rng.random((96, 96)) < density
+        # taller than one 256-row block of the run pass
+        yield rng.random((300, 300)) < density
+        # runs that touch both edge columns
+        mask = rng.random((96, 96)) < density
+        mask[:, 0] = mask[:, -1] = True
+        yield mask
+    yield np.zeros((96, 96), dtype=bool)
+    yield np.ones((300, 300), dtype=bool)
 
 
 def test_labeling_matches_scipy_on_random_masks():
-    rng = np.random.default_rng(8)
-    for density in (0.2, 0.45, 0.6):
-        for _ in range(10):
-            mask = rng.random((96, 96)) < density
-            grid = RasterGrid(resolution=96, bound=1.25, inside_mask=mask)
-            ours = flood_count(grid)
-            scipy_labels, scipy_count = ndimage.label(mask, structure=CROSS)
-            assert ours == scipy_count
-            cnt, sizes, bbox = mask_component_stats(mask)
-            assert cnt == scipy_count
-            assert sizes.sum() == mask.sum()
-            # label partitions agree up to renaming
-            for lab in range(1, ours + 1):
-                sel = grid.labels == lab
-                assert len(np.unique(scipy_labels[sel])) == 1
+    for mask in _random_masks(np.random.default_rng(8)):
+        scipy_labels, scipy_count = ndimage.label(mask, structure=CROSS)
+        cnt, sizes, bbox = mask_component_stats(mask)
+        assert cnt == scipy_count
+        # ours are ordered by first pixel; match scipy's labels through theirs
+        firsts = np.unique(scipy_labels[mask], return_index=True)[1]
+        order = scipy_labels[mask][np.sort(firsts)] - 1
+        slices = ndimage.find_objects(scipy_labels)
+        ref_sizes = np.bincount(scipy_labels.ravel(), minlength=cnt + 1)[1:]
+        assert sizes.tolist() == ref_sizes[order].tolist()
+        ref_bbox = [[slices[k][0].start, slices[k][0].stop - 1,
+                     slices[k][1].start, slices[k][1].stop - 1] for k in order]
+        assert bbox.tolist() == ref_bbox
 
 
 def test_counts_match_critical_value_counts():
@@ -97,8 +100,8 @@ def test_counts_match_critical_value_counts():
         poly = RootedPolynomial(sample_disc_array(stream, n))
         crit = find_critical_points(poly, stream=stream)
         rep = count_components(poly, crit)
-        grid = rasterize(poly, 2048, 2.05)
-        assert flood_count(grid) == rep.components
+        cnt, _, _ = mask_component_stats(rasterize(poly, 2048, 2.05).inside_mask)
+        assert cnt == rep.components
 
 
 def test_count_stable_under_bound_enlargement():
