@@ -29,7 +29,6 @@ from .critical import (
     CriticalSet,
     RootCollisionError,
     find_critical_points,
-    initial_guesses,
     pairing_distances,
 )
 from .harness import (
@@ -43,7 +42,6 @@ from .heavytail import (
     MiddleRangeUnsupported,
     TailLaw,
     cdf_y_tail,
-    median_of_means,
     sample_y,
     single_jump_prediction,
     tail_law,

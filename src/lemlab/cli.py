@@ -4,7 +4,8 @@ Subcommands: simulate, scaling, raster, constants, area (alias
 area-predict), heavytail, kacrice.  Each flag sets the ExperimentConfig
 field of its name (--seed, --out and --res set master_seed, out_path
 and resolution) and is parsed exactly as that key is in a --config
-file of key=value lines.  The file supplies defaults; explicit flags
+file of key=value lines.  Only simulate, scaling and raster, which
+write a file, take --out.  The file supplies defaults; explicit flags
 win.  Seeds are decimal or 0x-prefixed hex.  Exit codes: 0 success, 2
 configuration error (an unwritable --out included, found before any
 trial runs), 3 numeric failure (solver failure rate or a
@@ -152,17 +153,18 @@ def cmd_kacrice(cfg, out):
         raise ConfigError("kacrice --mode must be epsint, on-event, or t0")
 
 
-_COMMON = ("master_seed", "threads", "out_path")
+_COMMON = ("master_seed", "threads")
+_WRITES = _COMMON + ("out_path",)  # the commands that write a file
 
 #: subcommand -> (handler, help, ExperimentConfig fields taken as flags)
 _COMMANDS = {
-    "simulate": (run_simulate, "per-trial component counts", _COMMON + (
+    "simulate": (run_simulate, "per-trial component counts", _WRITES + (
         "n", "trials", "kappa", "area_samples", "boundary_points",
         "no_timing", "dump_crit")),
     "scaling": (run_scaling, "component scaling over an n list",
-                _COMMON + ("n_list", "trials", "kappa")),
+                _WRITES + ("n_list", "trials", "kappa")),
     "raster": (cmd_raster, "rasterize one trial and write a PPM",
-               _COMMON + ("n", "resolution", "bound", "kappa")),
+               _WRITES + ("n", "resolution", "bound", "kappa")),
     "constants": (cmd_constants, "print the closed-form constants", ()),
     "area": (cmd_area, "Gaussian/Edgeworth uncovered-area prediction",
              _COMMON + ("n", "kappa", "c_n", "q1")),

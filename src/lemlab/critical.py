@@ -8,9 +8,15 @@ We solve Sfull = 0 with a simultaneous Ehrlich-Aberth style iteration:
         (P''/P' = (Sfull^2 - Rfull)/Sfull, from P'' = P*(Sfull^2 - Rfull))
     Aberth correction:   w_i = N_i / (1 - N_i * sum_{j != i} 1/(z_i - z_j))
 
-Iterates start next to the roots (each root has a nearby critical point),
-displaced by a deterministic pseudo-random perturbation so clustered
-configurations do not start in symmetric deadlock.
+Each root x_k has a critical point nearby: there Sfull(z) = 1/(z - x_k)
++ S_rest(z) with S_rest(x) = sum_{j != k} 1/(x - x_j).  Iterate k starts
+at the paired-root Newton point x_k - 1/S_rest(x_k) when that step is
+below half of x_k's root gap, else at x_k nudged by 1e-3 * gap at a
+pseudo-random angle, so clustered roots do not start in symmetric
+deadlock.  All n-1 angles are drawn either way, so the stream advances
+alike.  An iterate stops when its update |w| is below
+SWEEP_TOL * (1 + |z|) or when its next update, predicted at the observed
+contraction as |w|^2 / |w_prev|, is.
 
 The per-point residual certificate is |Sfull(beta)| * min_k |beta - x_k|,
 which is scale-free: near a root the sum blows up like 1/distance, so the
@@ -57,36 +63,33 @@ class CriticalSet:
         return self.points.size
 
 
-def _nearest_gaps(pts):
-    """Distance from each point to its nearest other, 512 rows at a time."""
-    m = pts.size
-    block = 512
-    gaps = np.empty(m)
-    for lo in range(0, m, block):
-        hi = min(lo + block, m)
-        d = np.abs(pts[lo:hi, None] - pts[None, :])
+def _pair_rows(pts):
+    """pts[rows] - pts, 512 rows at a time, with the self-pairs set to inf."""
+    for lo in range(0, pts.size, 512):
+        hi = min(lo + 512, pts.size)
+        d = pts[lo:hi, None] - pts[None, :]
         d[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
-        gaps[lo:hi] = d.min(axis=1)
-    return gaps
+        yield d
+
+
+def _nearest_gaps(pts):
+    """Distance from each point to its nearest other."""
+    return np.concatenate([np.abs(d).min(axis=1) for d in _pair_rows(pts)])
+
+
+def _root_pairs(roots):
+    """Root gaps and S_rest(x_k) = sum_{j != k} 1/(x_k - x_j), in one pass.
+
+    The inf self-pair adds 1/inf = 0 to S_rest."""
+    gaps, s_rest = zip(*[(np.abs(d).min(axis=1), recip_sums(d)[0])
+                         for d in _pair_rows(roots)])
+    return np.concatenate(gaps), np.concatenate(s_rest)
 
 
 def _nudge(roots, gaps, idx, stream):
     """roots[idx], each moved 1e-3 * gaps[idx] at an angle from `stream`."""
     angles = (2.0 * np.pi) * stream.uniforms(idx.size)
     return roots[idx] + 1e-3 * gaps[idx] * np.exp(1j * angles)
-
-
-def initial_guesses(poly, stream):
-    """Start points: roots x_1..x_{n-1}, each nudged by 1e-3 * gap.
-
-    The nudge direction is a deterministic pseudo-random angle drawn from
-    `stream` (one uniform per point); the magnitude 1e-3 * (distance to
-    the nearest other root) keeps every guess well inside its own root's
-    basin while breaking any symmetry.
-    """
-    if poly.n < 2:
-        raise ValueError("need n >= 2 roots for critical points")
-    return _nudge(poly.roots, _nearest_gaps(poly.roots), np.arange(poly.n - 1), stream)
 
 
 def find_critical_points(poly, max_iters=120, stream=None):
@@ -108,25 +111,28 @@ def find_critical_points(poly, max_iters=120, stream=None):
         )
     if stream is None:
         stream = RngStream(0, 0)
-    gaps = _nearest_gaps(roots)
+    gaps, s_rest = _root_pairs(roots)
     m = n - 1
     z = _nudge(roots, gaps, np.arange(m), stream)
+    paired = np.flatnonzero(np.abs(s_rest[:m]) * gaps[:m] > 2.0)  # |1/S_rest| < gap/2
+    z[paired] = roots[paired] - 1.0 / s_rest[paired]
     active = np.ones(m, dtype=bool)
+    prev_step = np.zeros(m)  # |w| of the last sweep; 0 before the first
     collide_streak = np.zeros(m, dtype=np.int64)
     restarts = np.zeros(m, dtype=np.int64)
     sweeps = 0
 
     for _ in range(max_iters):
-        if not active.any():
+        idx = np.flatnonzero(active)
+        if not idx.size:
             break
         sweeps += 1
-        za = z[active]
+        za = z[idx]
         diff = za[:, None] - roots[None, :]
         dmin = np.abs(diff).min(axis=1)
 
         hit = dmin < COLLISION_TOL
         if hit.any():
-            idx = np.where(active)[0]
             collide_streak[idx[hit]] += 1
             collide_streak[idx[~hit]] = 0
             bad = collide_streak[idx] >= 3
@@ -137,19 +143,20 @@ def find_critical_points(poly, max_iters=120, stream=None):
                         "iterate stuck on a root after %d restarts" % MAX_RESTARTS
                     )
                 restarts[which] += 1
+                prev_step[which] = 0.0
                 near = np.argmin(np.abs(z[which][:, None] - roots[None, :]), axis=1)
                 z[which] = _nudge(roots, gaps, near, stream)
                 collide_streak[which] = 0
                 continue
         else:
-            collide_streak[active] = 0
+            collide_streak[idx] = 0
 
         S, R = recip_sums(diff)
         with np.errstate(divide="ignore", invalid="ignore"):
             N = S / (S * S - R)
             pd = za[:, None] - z[None, :]
-            pd[pd == 0] = np.inf
-            A = np.sum(1.0 / pd, axis=1)
+            pd[np.arange(idx.size), idx] = np.inf
+            A = np.divide(1.0, pd, out=pd).sum(axis=1)
             w = N / (1.0 - N * A)
         # guard rare degenerate denominators: fall back to a bounded step
         badw = ~np.isfinite(w)
@@ -163,9 +170,13 @@ def find_critical_points(poly, max_iters=120, stream=None):
             w = np.where(big, w * (0.25 / np.where(big, aw, 1.0)), w)
 
         z2 = za - w
-        z[active] = z2
-        done = np.abs(w) < SWEEP_TOL * (1.0 + np.abs(z2))
-        idx = np.where(active)[0]
+        z[idx] = z2
+        aw = np.abs(w)
+        tol = SWEEP_TOL * (1.0 + np.abs(z2))
+        # stop on this step, or on the next one predicted at the observed
+        # contraction |w| / |w_prev| (never, while prev_step is 0)
+        done = (aw < tol) | (aw * aw < tol * prev_step[idx])
+        prev_step[idx] = aw
         active[idx[done]] = False
 
     diff = z[:, None] - roots[None, :]

@@ -32,8 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .rng import sample_disc_array
 
 #: chunk size for vectorized Monte Carlo over walks
@@ -130,17 +128,3 @@ def walk_interval_prob_mc(r, n, a, b, trials, stream):
     p = hits / trials
     se = math.sqrt(p * (1.0 - p) / trials)
     return McEstimate(estimate=p, se=se)
-
-
-def median_of_means(values, blocks=32):
-    """Robust location estimate for heavy-tailed samples.
-
-    Splits `values` (in order) into `blocks` nearly equal blocks and
-    returns the median of the block means.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if values.size < blocks:
-        return float(np.median(values))
-    parts = np.array_split(values, blocks)
-    means = np.array([p.mean() for p in parts])
-    return float(np.median(means))

@@ -98,8 +98,9 @@ def recip_sums(diff):
     callers test for (or know cannot occur).
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / diff
-        return np.sum(inv, axis=-1), np.sum(inv * inv, axis=-1)
+        inv = np.divide(1.0, diff)
+        s = np.sum(inv, axis=-1)
+        return s, np.sum(np.multiply(inv, inv, out=inv), axis=-1)
 
 
 def _diff(poly, z, skip):

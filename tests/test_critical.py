@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from lemlab.critical import find_critical_points, initial_guesses, pairing_distances
-from lemlab.polyeval import RootedPolynomial
+from lemlab.components import count_components
+from lemlab.critical import find_critical_points, pairing_distances
+from lemlab.polyeval import RootedPolynomial, recip_sums
 from lemlab.rng import derive_substream, sample_disc_array
 
 from util import coeffs_from_roots, polyder_coeffs, winding_zero_count
@@ -55,17 +56,50 @@ def test_completeness_against_winding_oracle():
         assert wind == n - 1
 
 
-def test_initial_guesses_structure():
-    stream = derive_substream(23, 0)
-    roots = sample_disc_array(stream, 50)
-    poly = RootedPolynomial(roots)
-    guesses = initial_guesses(poly, derive_substream(23, 1))
-    assert len(guesses) == 49
-    assert len(np.unique(guesses)) == 49
-    d = np.abs(roots[:, None] - roots[None, :])
-    np.fill_diagonal(d, np.inf)
-    gaps = d.min(axis=1)
-    assert np.all(np.abs(guesses - roots[:49]) <= 1e-3 * gaps[:49] * (1 + 1e-12))
+@pytest.mark.parametrize("n", [3, 12, 400])
+def test_start_rule_paired_newton_or_nudge(n):
+    # with no sweep the returned points are the starts: iterate k starts at
+    # the paired-root Newton point x_k - 1/S_rest(x_k) when that step is
+    # below half of x_k's root gap, and otherwise at x_k nudged by
+    # 1e-3 * gap at the angle of the k-th uniform of the stream
+    roots = sample_disc_array(derive_substream(23, n), n)
+    starts = find_critical_points(
+        RootedPolynomial(roots), max_iters=0, stream=derive_substream(23, 1)
+    ).points
+    angles = 2.0 * np.pi * derive_substream(23, 1).uniforms(n - 1)
+    assert len(starts) == n - 1 and len(np.unique(starts)) == n - 1
+    paired = 0
+    for k in range(n - 1):
+        rest = roots[k] - np.delete(roots, k)
+        gap = np.abs(rest).min()
+        step = 1.0 / recip_sums(rest)[0]
+        if abs(step) < 0.5 * gap:
+            assert starts[k] == pytest.approx(roots[k] - step, rel=0, abs=1e-12 * gap)
+            paired += 1
+        else:
+            nudge = roots[k] + 1e-3 * gap * np.exp(1j * angles[k])
+            assert starts[k] == pytest.approx(nudge, rel=0, abs=1e-12 * gap)
+    assert paired == {3: 0, 12: 6, 400: 389}[n]
+
+
+def test_solver_outputs_pinned_n400():
+    # criterion 11's n = 400 substreams: the component counts recorded
+    # before the paired-root start and the predicted stop, residuals at
+    # the level perfbench compares them, and exactly one uniform per
+    # iterate drawn (no restart fires on these seeds; each adds one)
+    n = 400
+    expected = ("3,9,2,6,9,12,2,7,6,11,9,3,3,3,9,5,1,2,6,5,"
+                "9,3,3,4,1,2,1,4,4,4,4,1,1,2,5,3,2,7,3,1")
+    got = []
+    for t in range(40):
+        stream = derive_substream(4212, (n << 32) + t)
+        poly = RootedPolynomial(sample_disc_array(stream, n))
+        before = stream.counter
+        crit = find_critical_points(poly, stream=stream)
+        assert crit.converged and crit.residuals.max() < 1e-12
+        assert stream.counter == before + n - 1
+        got.append(count_components(poly, crit).components)
+    assert ",".join(map(str, got)) == expected
 
 
 def test_pairing_median_beats_root_spacing():
@@ -116,8 +150,6 @@ def test_residual_certificate_flags_spurious_points():
     stream = derive_substream(27, 0)
     roots = sample_disc_array(stream, 30)
     probe = roots[0] + 1e-8
-    from lemlab.polyeval import recip_sums
-
     res = abs(recip_sums(probe - roots)[0]) * np.abs(probe - roots).min()
     assert res > 0.5
 
@@ -134,5 +166,3 @@ def test_nonconvergence_reports_partial_state():
 def test_requires_two_roots():
     empty = find_critical_points(RootedPolynomial([0.1]))
     assert empty.converged and len(empty) == 0
-    with pytest.raises(ValueError):
-        initial_guesses(RootedPolynomial([0.1]), derive_substream(0, 0))

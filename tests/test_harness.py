@@ -186,6 +186,13 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
         assert main([command, "--out", str(missing / name)], out=io.StringIO()) == 2
         assert capsys.readouterr().err.startswith("config error:")
     assert ran == []
+    # commands that write no file take no --out
+    for command in ("area", "heavytail", "kacrice"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--out", str(tmp_path / "x.txt")], out=io.StringIO())
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --out" in capsys.readouterr().err
+    assert not (tmp_path / "x.txt").exists()
     r = subprocess.run(
         [sys.executable, "-m", "lemlab.cli", "constants"],
         capture_output=True, text=True,

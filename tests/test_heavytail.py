@@ -6,13 +6,14 @@ import pytest
 from lemlab.heavytail import (
     MiddleRangeUnsupported,
     cdf_y_tail,
-    median_of_means,
     sample_y,
     single_jump_prediction,
     tail_law,
     walk_interval_prob_mc,
 )
 from lemlab.rng import derive_substream, sample_disc_array
+
+from util import median_of_means
 
 
 def test_cut_points():

@@ -116,3 +116,17 @@ def exact_walk_interval_prob(r, n, a, b, half_range=2.0**15, points=2**21):
     vals = (-n * L + h * np.arange(M)) % (2.0 * L)
     sel = (vals >= a) & (vals <= b)
     return float(conv[sel].sum())
+
+
+def median_of_means(values, blocks=32):
+    """Robust location estimate for heavy-tailed samples.
+
+    Splits `values` (in order) into `blocks` nearly equal blocks and
+    returns the median of the block means.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if values.size < blocks:
+        return float(np.median(values))
+    parts = np.array_split(values, blocks)
+    means = np.array([p.mean() for p in parts])
+    return float(np.median(means))
