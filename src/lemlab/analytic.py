@@ -17,7 +17,13 @@ form
     int_0^1 2 rho [ (log max(r, rho))^2 + Li2((min/max)^2)/2 ] drho,
 
 obtained by expanding log|1 - m e^{i theta}| in its cosine series and
-integrating term by term.
+integrating term by term.  Each quadrature panel is one array
+expression over its nodes.
+
+sigma(r) and gamma3(r) are analytic on [0, 1], so the area prediction,
+which needs them at hundreds of radii per call, reads them from a
+Chebyshev interpolant of 65 moments_log_dist values, built once per
+process, accurate to ~1e-12 and taking scalars or arrays of r.
 """
 
 from __future__ import annotations
@@ -38,6 +44,8 @@ SIGMA_TOL = 5e-10
 GAMMA3_TOL = 1e-8
 #: required agreement between the polar and cosine-series second moments
 CROSS_CHECK_TOL = 1e-6
+#: absolute accuracy demanded of the edgeworth_area integral
+AREA_TOL = 1e-8
 
 
 class MomentMismatchError(RuntimeError):
@@ -62,17 +70,13 @@ def dilog(x):
     """
     scalar = np.isscalar(x)
     x = np.asarray(x, dtype=np.float64)
-    if np.any((x < 0.0) | (x > 1.0)):
+    if not np.all((x >= 0.0) & (x <= 1.0)):
         raise ValueError("dilog requires 0 <= x <= 1")
-    out = np.zeros_like(x)
     hi = x > 0.5
-    lo = ~hi
-    out[lo] = _dilog_series(x[lo])
-    if hi.any():
-        xh = x[hi]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cross = np.where(xh == 1.0, 0.0, np.log(xh) * np.log1p(-xh))
-        out[hi] = ZETA2 - cross - _dilog_series(1.0 - xh)
+    series = _dilog_series(np.where(hi, 1.0 - x, x))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = np.where(x == 1.0, 0.0, np.log(x) * np.log1p(-x))
+    out = np.where(hi, ZETA2 - cross - series, series)
     return float(out) if scalar else out
 
 
@@ -109,63 +113,53 @@ def mean_log_dist(r):
 
 
 _THETA_DEPTH = 48
-_theta_rule_cache = None
 
 
+@lru_cache(maxsize=None)
 def _theta_rule():
     # composite GL-16 on [0, pi], panels graded geometrically toward the
     # (potential) logarithmic peak at theta = 0; fixed depth so the rule,
     # viewed as a function of rho, is perfectly smooth
-    global _theta_rule_cache
-    if _theta_rule_cache is None:
-        edges = np.pi * 2.0 ** (-np.arange(_THETA_DEPTH + 1, dtype=np.float64))
-        los = np.concatenate(([0.0], edges[::-1][:-1]))
-        his = edges[::-1]
-        mids = 0.5 * (los + his)
-        halfs = 0.5 * (his - los)
-        nodes = (mids[:, None] + halfs[:, None] * _NODES16).ravel()
-        weights = (halfs[:, None] * _WEIGHTS16).ravel()
-        sin2half = np.sin(0.5 * nodes) ** 2
-        _theta_rule_cache = (sin2half, weights)
-    return _theta_rule_cache
+    edges = np.pi * 2.0 ** (-np.arange(_THETA_DEPTH + 1, dtype=np.float64))
+    los = np.concatenate(([0.0], edges[::-1][:-1]))
+    his = edges[::-1]
+    mids = 0.5 * (los + his)
+    halfs = 0.5 * (his - los)
+    nodes = (mids[:, None] + halfs[:, None] * _NODES16).ravel()
+    weights = (halfs[:, None] * _WEIGHTS16).ravel()
+    return np.sin(0.5 * nodes) ** 2, weights
 
 
-def _theta_moments(r, rho, u):
-    """int_0^pi (t - u)^p dtheta for p = 2, 3, t = log|r - rho e^{i theta}|.
+def _split_at(f, r, tol):
+    """int_0^1 f, split at the kink rho = r when 0 < r < 1."""
+    if 0.0 < r < 1.0:
+        va, _ = adaptive_gauss(f, 0.0, r, 0.5 * tol)
+        vb, _ = adaptive_gauss(f, r, 1.0, 0.5 * tol)
+        return va + vb
+    value, _ = adaptive_gauss(f, 0.0, 1.0, tol)
+    return value
 
-    Uses |r - rho e^{i theta}|^2 = (r - rho)^2 + 4 r rho sin^2(theta/2),
+
+def _polar_central_moments(r):
+    """(second, third) central moments of log|r - X| by polar quadrature.
+
+    Each rho panel meets the whole theta rule as one array, with
+    |r - rho e^{i theta}|^2 = (r - rho)^2 + 4 r rho sin^2(theta/2),
     which stays accurate to the last ulp even when theta is tiny and
     rho is within roundoff of r.
     """
     sin2half, weights = _theta_rule()
-    g = (r - rho) ** 2 + (4.0 * r * rho) * sin2half
-    t = 0.5 * np.log(np.maximum(g, 1e-300)) - u
-    t2 = t * t
-    return float(weights @ t2), float(weights @ (t2 * t))
-
-
-def _polar_central_moments(r):
-    """(second, third) central moments of log|r - X| by polar quadrature."""
     u = mean_log_dist(r)
 
-    def outer(rho_nodes):
-        out = np.empty((2, rho_nodes.size))
-        for i, rho in enumerate(rho_nodes):
-            m2, m3 = _theta_moments(r, float(rho), u)
-            scale = 2.0 * float(rho) / math.pi
-            out[0, i] = scale * m2
-            out[1, i] = scale * m3
-        return out
+    def outer(rho):
+        g = (r - rho[:, None]) ** 2 + (4.0 * r * rho[:, None]) * sin2half
+        t = 0.5 * np.log(np.maximum(g, 1e-300)) - u
+        t2 = t * t
+        scale = 2.0 * rho / math.pi
+        return np.stack((scale * (t2 @ weights), scale * ((t2 * t) @ weights)))
 
-    tol = np.array([SIGMA_TOL, GAMMA3_TOL])
-    if 0.0 < r < 1.0:
-        va, _ = adaptive_gauss(outer, 0.0, r, 0.5 * tol)
-        vb, _ = adaptive_gauss(outer, r, 1.0, 0.5 * tol)
-        vals = np.asarray(va) + np.asarray(vb)
-    else:
-        vals, _ = adaptive_gauss(outer, 0.0, 1.0, tol)
-        vals = np.asarray(vals)
-    return float(vals[0]), float(vals[1])
+    m2, m3 = _split_at(outer, r, np.array([SIGMA_TOL, GAMMA3_TOL]))
+    return float(m2), float(m3)
 
 
 def _cosine_series_second_raw(r):
@@ -179,12 +173,7 @@ def _cosine_series_second_raw(r):
             ratio = np.where(mx > 0, mn / np.where(mx > 0, mx, 1.0), 0.0)
         return 2.0 * rho * (lm * lm + 0.5 * dilog(ratio * ratio))
 
-    if 0.0 < r < 1.0:
-        va, _ = adaptive_gauss(f, 0.0, r, 5e-10)
-        vb, _ = adaptive_gauss(f, r, 1.0, 5e-10)
-        return va + vb
-    value, _ = adaptive_gauss(f, 0.0, 1.0, 1e-9)
-    return value
+    return _split_at(f, r, 1e-9)
 
 
 @lru_cache(maxsize=200_000)
@@ -222,44 +211,34 @@ def phi(x):
     return float(out) if np.isscalar(x) else out
 
 
-# -------------------------------------------------- moment interpolant
-#
-# sigma(r) and gamma3(r) are analytic on [0, 1], so a Chebyshev
-# interpolant built once from moments_log_dist values reproduces them to
-# ~1e-12 while costing microseconds per lookup.  The area-prediction
-# quadrature consumes hundreds of (sigma, gamma3) values per call; this
-# is the warm-up cache that makes that affordable.
-
 _CHEB_N = 64
-_cheb_table = None
 
 
+@lru_cache(maxsize=None)
 def _chebyshev_table():
-    global _cheb_table
-    if _cheb_table is None:
-        j = np.arange(_CHEB_N + 1)
-        nodes = 0.5 * (1.0 + np.cos(np.pi * j / _CHEB_N))
-        weights = np.where(j % 2 == 0, 1.0, -1.0)
-        weights[0] *= 0.5
-        weights[-1] *= 0.5
-        sig = np.empty(nodes.size)
-        gam = np.empty(nodes.size)
-        for i, r in enumerate(nodes):
-            _, sig[i], gam[i] = _moment_triple(float(r))
-        _cheb_table = (nodes, weights, sig, gam)
-    return _cheb_table
+    j = np.arange(_CHEB_N + 1)
+    nodes = 0.5 * (1.0 + np.cos(np.pi * j / _CHEB_N))
+    weights = np.where(j % 2 == 0, 1.0, -1.0)
+    weights[[0, -1]] *= 0.5
+    _, sig, gam = np.array([_moment_triple(float(r)) for r in nodes]).T
+    return nodes, weights, sig, gam
 
 
 def _sigma_gamma_interp(r):
+    """(sigma, gamma3) at r, a scalar or an array, from the Chebyshev table.
+
+    An r within 1e-14 of a node returns that node's table values.
+    """
     nodes, weights, sig, gam = _chebyshev_table()
-    d = r - nodes
+    d = np.asarray(r, dtype=np.float64)[..., None] - nodes
     hit = np.abs(d) < 1e-14
-    if hit.any():
-        i = int(np.argmax(hit))
-        return sig[i], gam[i]
-    q = weights / d
-    denom = q.sum()
-    return float(q @ sig) / denom, float(q @ gam) / denom
+    q = weights / np.where(hit, 1.0, d)
+    denom = q.sum(axis=-1)
+    at = hit.argmax(axis=-1)
+    on_node = hit.any(axis=-1)
+    sigma = np.where(on_node, sig[at], (q * sig).sum(axis=-1) / denom)
+    gamma3 = np.where(on_node, gam[at], (q * gam).sum(axis=-1) / denom)
+    return sigma[()], gamma3[()]
 
 
 def skew_correction(x, sigma, gamma3):
@@ -272,8 +251,7 @@ def skew_correction(x, sigma, gamma3):
     )
 
 
-def edgeworth_area(n, kappa, c_n=0.0, include_q1=False, tol=1e-8,
-                   interpolant=True):
+def edgeworth_area(n, kappa, c_n=0.0, include_q1=False):
     """Predicted P-weighted area 2 pi int (1 - Phi(C_r) [+ Q1/sqrt n]) r dr.
 
     The integral runs over the annulus radii [1 - kappa sqrt(log n / n), 1]
@@ -283,37 +261,28 @@ def edgeworth_area(n, kappa, c_n=0.0, include_q1=False, tol=1e-8,
     The caller keeps sqrt(n) * c_n small; that is the regime where the
     expansion is valid.
 
-    With interpolant=True (default) sigma and gamma3 come from the warmed
-    Chebyshev cache of moments_log_dist values; interpolant=False calls
-    the polar quadrature at every node (identical values, much slower).
+    sigma(r) and gamma3(r) come from the Chebyshev interpolant (see the
+    module docstring); the integral is taken to absolute accuracy AREA_TOL.
     """
     if n < 2:
         raise ValueError("n >= 2 required")
-    if kappa <= 0:
+    if not kappa > 0:
         raise ValueError("kappa > 0 required")
-    if c_n < 0:
+    if not c_n >= 0:
         raise ValueError("c_n >= 0 required")
     sqrt_n = math.sqrt(n)
     lo = max(0.0, 1.0 - kappa * math.sqrt(math.log(n) / n))
 
-    def integrand(r_nodes):
-        out = np.empty_like(r_nodes)
-        for i, r in enumerate(r_nodes):
-            r = min(float(r), 1.0)
-            u = mean_log_dist(r)
-            if interpolant:
-                sigma, gamma3 = _sigma_gamma_interp(r)
-            else:
-                tab = moments_log_dist(r)
-                sigma, gamma3 = tab.sigma, tab.gamma3
-            c_r = sqrt_n * (c_n - u) / sigma
-            val = 1.0 - phi(c_r)
-            if include_q1:
-                val += skew_correction(c_r, sigma, gamma3) / sqrt_n
-            out[i] = val * r
-        return out
+    def integrand(r):
+        r = np.minimum(r, 1.0)
+        sigma, gamma3 = _sigma_gamma_interp(r)
+        c_r = sqrt_n * (c_n - mean_log_dist(r)) / sigma
+        val = 1.0 - phi(c_r)
+        if include_q1:
+            val += skew_correction(c_r, sigma, gamma3) / sqrt_n
+        return val * r
 
-    value, _ = adaptive_gauss(integrand, lo, 1.0, tol)
+    value, _ = adaptive_gauss(integrand, lo, 1.0, AREA_TOL)
     return 2.0 * math.pi * value
 
 

@@ -64,16 +64,17 @@ def adaptive_gauss(f, a, b, tol, max_depth=52):
         # panels collapsing into an integrable singularity stop once their
         # contribution is negligible rather than chasing roundoff
         budget = tol * (abs(hi - lo) / length) + 1e-5 * tol
-        if np.all(delta <= budget) or depth >= max_depth:
-            if depth >= max_depth and np.any(delta > budget):
-                raise QuadratureError(
-                    "panel [%g, %g] failed at depth %d (err %g > %g)"
-                    % (lo, hi, depth, float(delta.max()), float(budget)),
-                    value=fine,
-                    error=delta,
-                )
+        # a NaN delta meets no budget, so it fails at max_depth
+        if np.all(delta <= budget):
             value += fine
             err += delta
+        elif depth >= max_depth:
+            raise QuadratureError(
+                "panel [%g, %g] failed at depth %d (err %s > %s)"
+                % (lo, hi, depth, delta, budget),
+                value=fine,
+                error=delta,
+            )
         else:
             stack.append((lo, mid, left, depth + 1))
             stack.append((mid, hi, right, depth + 1))

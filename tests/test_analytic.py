@@ -27,6 +27,10 @@ def test_dilog_domain():
         an.dilog(-0.1)
     with pytest.raises(ValueError):
         an.dilog(1.1)
+    with pytest.raises(ValueError):
+        an.dilog(math.nan)
+    with pytest.raises(ValueError):
+        an.dilog(np.array([0.5, math.nan]))
 
 
 def test_variance_closed_form():
@@ -95,6 +99,16 @@ def test_interpolant_agrees_with_quadrature():
         tab = an.moments_log_dist(r)
         assert abs(s_i - tab.sigma) < 1e-6
         assert abs(g_i - tab.gamma3) < 1e-5
+    # an array call is the scalar calls elementwise
+    rs = np.linspace(0.4, 1.0, 97)
+    s_a, g_a = an._sigma_gamma_interp(rs)
+    pairs = [an._sigma_gamma_interp(float(r)) for r in rs]
+    assert np.array_equal(s_a, [p[0] for p in pairs])
+    assert np.array_equal(g_a, [p[1] for p in pairs])
+    # r = 1 and r = 0 are the first and last Chebyshev nodes
+    _, _, sig, gam = an._chebyshev_table()
+    assert an._sigma_gamma_interp(1.0) == (sig[0], gam[0])
+    assert an._sigma_gamma_interp(0.0) == (sig[-1], gam[-1])
 
 
 def test_moments_domain():
@@ -153,9 +167,15 @@ def test_edgeworth_q1_flag_small_shift():
     assert abs(with_q1 - base) < 0.1 * base
 
 
-def test_edgeworth_interpolant_matches_direct():
+def test_edgeworth_interpolant_matches_direct(monkeypatch):
     a = an.edgeworth_area(100, 2.0)
-    b = an.edgeworth_area(100, 2.0, interpolant=False)
+
+    def direct(r):
+        tabs = [an.moments_log_dist(x) for x in r]
+        return np.array([t.sigma for t in tabs]), np.array([t.gamma3 for t in tabs])
+
+    monkeypatch.setattr(an, "_sigma_gamma_interp", direct)
+    b = an.edgeworth_area(100, 2.0)
     assert a == pytest.approx(b, rel=1e-5)
 
 
@@ -166,6 +186,9 @@ def test_edgeworth_validation():
         an.edgeworth_area(100, -1.0)
     with pytest.raises(ValueError):
         an.edgeworth_area(100, 2.0, c_n=-0.1)
+    for c_n, kappa in ((math.nan, 2.0), (0.0, math.nan)):
+        with pytest.raises(ValueError):
+            an.edgeworth_area(100, kappa, c_n=c_n)
 
 
 def test_limit_constant_identities():
@@ -181,3 +204,10 @@ def test_quadrature_error_surfaces():
     f = lambda x: np.where(np.sin(1e6 * x) > 0, 1.0, 0.0)
     with pytest.raises(QuadratureError):
         adaptive_gauss(f, 0.0, 1.0, 1e-15, max_depth=8)
+    # ... also with one tolerance per component
+    g = lambda x: np.stack((f(x), x))
+    with pytest.raises(QuadratureError):
+        adaptive_gauss(g, 0.0, 1.0, np.array([1e-15, 1e-15]), max_depth=8)
+    # a NaN panel meets no budget: it fails at max_depth, not accepted
+    with pytest.raises(QuadratureError):
+        adaptive_gauss(lambda x: np.full_like(x, math.nan), 0.0, 1.0, 1e-8, max_depth=8)

@@ -163,11 +163,11 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     )
     assert r.returncode == 2  # unknown flags rejected
     # parameters the library rejects: a below heavytail's right cut, the
-    # event needs n >= 3, the area prediction n >= 2; an unreadable config
-    # file and an n_list entry below 1
+    # event needs n >= 3, the area prediction n >= 2 and c_n >= 0 (NaN
+    # included); an unreadable config file and an n_list entry below 1
     missing = tmp_path / "missing"
     for argv in (["heavytail", "--a", "0"], ["kacrice", "--mode", "t0", "--n", "2"],
-                 ["area", "--n", "1"],
+                 ["area", "--n", "1"], ["area", "--n", "100", "--c-n", "nan"],
                  ["simulate", "--config", str(missing)],
                  ["scaling", "--n-list", "0,10", "--trials", "5"]):
         r = subprocess.run(
@@ -312,6 +312,26 @@ def test_cli_outputs_pinned_raster(tmp_path):
         (0, 200, 0): 77812, (150, 230, 150): 9931, (220, 40, 40): 11036,
         (240, 220, 60): 42940, (255, 255, 255): 120425,
     }
+
+
+# `lemlab area` (n, q1) -> (area, sqrt_n_area), recorded before the
+# moment interpolant took arrays; at rel 1e-12
+AREA_ROWS = {
+    ("400", 0): (0.07443514513838644, 1.4887029027677288),
+    ("400", 1): (0.07451531310538306, 1.4903062621076613),
+    ("1000000", 0): (0.0014249793373810895, 1.4249793373810895),
+}
+
+
+def test_cli_outputs_pinned_area():
+    for (n, q1), pinned in AREA_ROWS.items():
+        buf = io.StringIO()
+        assert main(["area", "--n", n] + ["--q1"] * q1, out=buf) == 0
+        header, row = buf.getvalue().splitlines()
+        assert header == "n,kappa,c_n,q1,area,sqrt_n_area"
+        fields = row.split(",")
+        assert fields[:4] == [n, "2.0", "0.0", str(q1)]
+        assert [float(x) for x in fields[4:]] == pytest.approx(pinned, rel=1e-12)
 
 
 def test_cli_raster_root_collision_prints_minus_one(tmp_path, monkeypatch):

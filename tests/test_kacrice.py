@@ -76,6 +76,11 @@ def test_conditional_identity_by_quadrature():
             continue
         s_t = np.sum(1.0 / (x0 - others))
         qo = np.prod(np.abs(x0 - others))
+        # the event needs |x0 + 1/s| < 1, so |s| > 1/(1 + |x0|), and
+        # |s| < |x0 - X2| qo < (1 + |x0|) qo: without room between the
+        # two the draw has p2 = 0 and its grid is skipped
+        if (1.0 + abs(x0)) ** 2 * qo <= 1.0:
+            continue
         # midpoint rule on an nr x nt polar grid, 100 radii at a time
         nr, nt = 1200, 2400
         unit = np.exp(2j * np.pi * (np.arange(nt) + 0.5) / nt)
