@@ -1,18 +1,22 @@
 """Rasterized view of the lemniscate: the independent geometric oracle.
 
 `rasterize` produces the exact pixel mask {log|P(center)| < 0} without
-evaluating every pixel: cells of a coarse grid carry the rigorous bound
-|log|P(z)| - log|P(c)|| <= rho * sum_k 1/(|c - x_k| - rho)  (rho = half
-cell diagonal), so any cell whose center value clears that bound is
-uniformly inside or outside and is block-filled; only cells straddling
-the zero level set (or touching a root) are refined down to single
-pixels.  The result is bit-identical to brute-force evaluation of
-log|P| at all pixel centers, at a fraction of the cost.  Cell values
-take one log per product of _PRODUCT_CHUNK squared root distances.
+evaluating every pixel.  The quadtree starts at the coarsest even
+division with at least 64 cells per side (64^2 at 4096^2), whose center
+signs fill the mask in one broadcast.  Each cell carries the rigorous
+bound |log|P(z)| - log|P(c)|| <= rho * sum_k 1/(|c - x_k| - rho)  (rho =
+half cell diagonal), which holds at any cell size, so a cell whose
+center value clears it is uniformly inside or outside; only cells
+straddling the zero level set (or touching a root) are refined, down to
+single pixels, and overwrite their part of the fill.  The result is
+bit-identical to brute-force evaluation of log|P| at all pixel centers,
+at a fraction of the cost.  Cell values take one log per product of
+_PRODUCT_CHUNK squared root distances.
 
 `mask_component_stats` reads the mask's runs in one pass over blocks of
-rows and joins overlapping runs of adjacent rows by union-find; with no
-label image, its cost follows the runs, far fewer than the pixels.
+rows and joins overlapping runs of adjacent rows with array operations
+(index ranges by searchsorted, then hooking and pointer jumping); with
+no label image, its cost follows the runs, far fewer than the pixels.
 """
 
 from __future__ import annotations
@@ -98,15 +102,11 @@ def rasterize(poly, resolution, bound=1.25):
         )
     roots = poly.roots
     levels = 0
-    while levels < 3 and resolution % (1 << (levels + 1)) == 0 \
-            and (resolution >> (levels + 1)) >= 64:
+    while resolution % (1 << (levels + 1)) == 0 and (resolution >> (levels + 1)) >= 64:
         levels += 1
     res0 = resolution >> levels
-    mask = np.zeros((resolution, resolution), dtype=bool)
-    ii, jj = np.meshgrid(np.arange(res0, dtype=np.int64),
-                         np.arange(res0, dtype=np.int64), indexing="ij")
-    I = ii.ravel()
-    J = jj.ravel()
+    mask = np.empty((resolution, resolution), dtype=bool)
+    I, J = np.divmod(np.arange(res0 * res0, dtype=np.int64), res0)
     rl = res0
     while True:
         h = 2.0 * bound / rl
@@ -115,13 +115,18 @@ def rasterize(poly, resolution, bound=1.25):
         final = rl == resolution
         rho = h / np.sqrt(2.0)
         v, bnd, ok = _cell_values(roots, x, y, want_bound=not final, rho=rho)
-        if final:
-            mask[I, J] = v < 0.0
-            break
-        uniform = ok & (np.abs(v) > bnd)
         s = resolution // rl
         view = mask.reshape(rl, s, rl, s)
-        view[I[uniform], :, J[uniform], :] = (v[uniform] < 0.0)[:, None, None]
+        if rl == res0:
+            # every base cell's center sign; finer levels overwrite the refined ones
+            view[...] = (v < 0.0).reshape(rl, 1, rl, 1)
+        elif final:
+            mask[I, J] = v < 0.0
+        if final:
+            break
+        uniform = ok & (np.abs(v) > bnd)
+        if rl > res0:
+            view[I[uniform], :, J[uniform], :] = (v[uniform] < 0.0)[:, None, None]
         keep = ~uniform
         k = int(keep.sum())
         I = np.repeat(I[keep] * 2, 4) + np.tile(np.array([0, 0, 1, 1]), k)
@@ -151,43 +156,31 @@ def _mask_runs(mask):
 
 
 def _union_runs(res, rows, c0, c1):
-    """Union-find over runs; returns 0-based per-run labels and the count.
+    """Connected runs as array operations; 0-based per-run labels and the count.
 
-    The union keeps the smaller run index as the root, so each root is
-    its component's first run and labels follow first appearance in
-    row-major order, which makes the labeling deterministic.
+    The runs of row r-1 that overlap run j form one index range, found
+    by two searchsorted calls on row-major start and end keys.  Each
+    round hooks every root to the smallest root it shares an edge with
+    and jumps pointers to the roots, so each root is its component's
+    first run and labels follow first appearance in row-major order.
     """
+    width = res + 1
+    start = rows * width + c0
+    end = rows * width + c1
+    lo = np.searchsorted(end, start - width, side="right")
+    cnt = np.maximum(np.searchsorted(start, end - width) - lo, 0)
+    b = np.repeat(np.arange(rows.size), cnt)
+    a = np.arange(b.size) - np.repeat(np.cumsum(cnt) - cnt - lo, cnt)
     parent = np.arange(rows.size, dtype=np.int64)
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    row_off = np.searchsorted(rows, np.arange(res + 1))
-    for r in range(1, res):
-        i, iend = row_off[r - 1], row_off[r]
-        j, jend = row_off[r], row_off[r + 1]
-        while i < iend and j < jend:
-            if c1[i] <= c0[j]:
-                i += 1
-            elif c1[j] <= c0[i]:
-                j += 1
-            else:
-                ra, rb = find(i), find(j)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-                if c1[i] < c1[j]:
-                    i += 1
-                else:
-                    j += 1
-    # every pointer goes to a smaller index, so jumping reaches the roots
     while True:
-        up = parent[parent]
-        if np.array_equal(up, parent):
+        ra, rb = parent[a], parent[b]
+        split = ra != rb
+        if not split.any():
             break
-        parent = up
+        np.minimum.at(parent, np.maximum(ra, rb)[split], np.minimum(ra, rb)[split])
+        # every pointer goes to a smaller index, so jumping reaches the roots
+        while not np.array_equal(up := parent[parent], parent):
+            parent = up
     roots, run_label = np.unique(parent, return_inverse=True)
     return run_label, roots.size
 
@@ -234,7 +227,7 @@ def write_ppm(grid, poly, kappa, path):
     """
     res = grid.resolution
     xs, ys = _pixel_centers(res, grid.bound)
-    rad2 = (xs[None, :] ** 2 + ys[:, None] ** 2).astype(np.float64)
+    rad2 = xs[None, :] ** 2 + ys[:, None] ** 2
     inside = grid.inside_mask
     in_disc = rad2 < 1.0
     from .components import annulus_inner_radius

@@ -57,6 +57,30 @@ def test_eps_count_validation():
         epsilon_count(poly, (1.0, -1.0, -1.0, 1.0), 1e-3, 512)
 
 
+def _event_empty(x0, s_t, qo):
+    """True when no X2 in the unit disc can meet the quadrature event.
+
+    With w = x0 - X2 and t = |w| < 1 + |x0|, the event needs |s| < t qo
+    and |x0 + 1/s| < 1, so |s| > 1/(1 + |x0|) and |x0 s + 1| < |s|.
+    Hence t > 1/((1 + |x0|) qo), and both |s_t + 1/w| < t qo and
+    |s_t + 1/x0 + 1/w| < t qo / |x0|.  Each of the last two has the form
+    |a + 1/w| < t q, so ||a| - 1/t| < t q: t lies above the positive root
+    of q t^2 + |a| t - 1 and outside the roots of q t^2 - |a| t + 1.
+    """
+    segs = [(1.0 / ((1.0 + abs(x0)) * qo), 1.0 + abs(x0))]
+    for a, q in ((abs(s_t), qo), (abs(s_t + 1.0 / x0), qo / abs(x0))):
+        lo = (math.sqrt(a * a + 4.0 * q) - a) / (2.0 * q)
+        d = a * a - 4.0 * q
+        g1, g2 = ((a - math.sqrt(d)) / (2.0 * q), (a + math.sqrt(d)) / (2.0 * q)) \
+            if d > 0 else (math.inf, math.inf)
+        cut = []
+        for u, v in segs:
+            u = max(u, lo)
+            cut += [(u, min(v, g1)), (max(u, g2), v)]
+        segs = [(u, v) for u, v in cut if u < v]
+    return not segs
+
+
 def test_conditional_identity_by_quadrature():
     # Freeze X0 and X3..Xn; integrate over X2 on a fine polar grid: the
     # X2-average of |(X0-X2) S|^{-4} over the event must equal the
@@ -76,10 +100,7 @@ def test_conditional_identity_by_quadrature():
             continue
         s_t = np.sum(1.0 / (x0 - others))
         qo = np.prod(np.abs(x0 - others))
-        # the event needs |x0 + 1/s| < 1, so |s| > 1/(1 + |x0|), and
-        # |s| < |x0 - X2| qo < (1 + |x0|) qo: without room between the
-        # two the draw has p2 = 0 and its grid is skipped
-        if (1.0 + abs(x0)) ** 2 * qo <= 1.0:
+        if _event_empty(x0, s_t, qo):
             continue
         # midpoint rule on an nr x nt polar grid, 100 radii at a time
         nr, nt = 1200, 2400
