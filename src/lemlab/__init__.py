@@ -9,38 +9,30 @@ limiting constants by Monte Carlo against their closed forms.
 """
 
 from .analytic import (
-    MomentTable,
     area_limit_constant,
     dilog,
     edgeworth_area,
     limit_constant,
     moments_log_dist,
-    phi,
     var_log_one_minus_x,
 )
 from .components import (
-    ComponentReport,
     annulus_inner_radius,
     area_outside_mc,
     count_components,
     inradius_holds,
 )
 from .critical import (
-    CriticalSet,
     RootCollisionError,
     find_critical_points,
     pairing_distances,
 )
 from .harness import (
     ExperimentConfig,
-    SummaryAccumulator,
-    TrialRecord,
     run_scaling,
     run_simulate,
 )
 from .heavytail import (
-    MiddleRangeUnsupported,
-    TailLaw,
     cdf_y_tail,
     sample_y,
     single_jump_prediction,
@@ -54,7 +46,7 @@ from .kacrice import (
     estimate_t0,
 )
 from .polyeval import RootedPolynomial, log_abs_p
-from .raster import RasterGrid, mask_component_stats, rasterize, write_ppm
+from .raster import mask_component_stats, rasterize, write_ppm
 from .rng import RngStream, derive_substream, sample_disc_array
 
 __version__ = "0.1.0"

@@ -242,7 +242,11 @@ def _sigma_gamma_interp(r):
 
 
 def skew_correction(x, sigma, gamma3):
-    """Edgeworth first correction: -gamma3/(6 sqrt(2 pi) sigma^3) (x^2-1) e^{-x^2/2}."""
+    """Edgeworth first correction: -gamma3/(6 sqrt(2 pi) sigma^3) (x^2-1) e^{-x^2/2}.
+
+    The standardized sum of n terms has CDF Phi(x) + skew_correction/sqrt(n)
+    + O(1/n), so its upper tail takes the correction with a minus sign.
+    """
     return (
         -gamma3
         / (6.0 * math.sqrt(2.0 * math.pi) * sigma**3)
@@ -252,14 +256,15 @@ def skew_correction(x, sigma, gamma3):
 
 
 def edgeworth_area(n, kappa, c_n=0.0, include_q1=False):
-    """Predicted P-weighted area 2 pi int (1 - Phi(C_r) [+ Q1/sqrt n]) r dr.
+    """Predicted P-weighted area 2 pi int (1 - Phi(C_r) [- Q1/sqrt n]) r dr.
 
     The integral runs over the annulus radii [1 - kappa sqrt(log n / n), 1]
     with the standardized threshold C_r = (n c_n - n u(r)) / (sqrt n
     sigma(r)).  With c_n = 0 this is the prediction for the expected area
     of the unit disc not covered by the lemniscate, accurate to O(1/n).
     The caller keeps sqrt(n) * c_n small; that is the regime where the
-    expansion is valid.
+    expansion is valid.  include_q1 adds the Edgeworth term, with Q1 =
+    skew_correction(C_r, sigma(r), gamma3(r)).
 
     sigma(r) and gamma3(r) come from the Chebyshev interpolant (see the
     module docstring); the integral is taken to absolute accuracy AREA_TOL.
@@ -279,7 +284,7 @@ def edgeworth_area(n, kappa, c_n=0.0, include_q1=False):
         c_r = sqrt_n * (c_n - mean_log_dist(r)) / sigma
         val = 1.0 - phi(c_r)
         if include_q1:
-            val += skew_correction(c_r, sigma, gamma3) / sqrt_n
+            val -= skew_correction(c_r, sigma, gamma3) / sqrt_n
         return val * r
 
     value, _ = adaptive_gauss(integrand, lo, 1.0, AREA_TOL)

@@ -159,8 +159,7 @@ _WRITES = _COMMON + ("out_path",)  # the commands that write a file
 #: subcommand -> (handler, help, ExperimentConfig fields taken as flags)
 _COMMANDS = {
     "simulate": (run_simulate, "per-trial component counts", _WRITES + (
-        "n", "trials", "kappa", "area_samples", "boundary_points",
-        "no_timing", "dump_crit")),
+        "n", "trials", "kappa", "area_samples", "no_timing", "dump_crit")),
     "scaling": (run_scaling, "component scaling over an n list",
                 _WRITES + ("n_list", "trials", "kappa")),
     "raster": (cmd_raster, "rasterize one trial and write a PPM",

@@ -9,7 +9,7 @@ for n beyond ~700 while log|P| stays modest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,6 +18,8 @@ from .rng import sample_disc_array
 
 #: |log|P(beta)|| below this is decided by sign but flagged ambiguous
 AMBIGUITY_TOL = 1e-9
+#: equally spaced points at which inradius_holds probes its circle
+INRADIUS_PROBES = 512
 
 
 @dataclass
@@ -26,8 +28,7 @@ class ComponentReport:
     components_annulus: int
     n_crit_outside: int
     crit_log_values: np.ndarray
-    annulus_inner_radius: float
-    ambiguous_indices: np.ndarray = field(default_factory=lambda: np.empty(0, np.intp))
+    ambiguous_indices: np.ndarray
 
     @property
     def n_ambiguous(self):
@@ -52,40 +53,31 @@ def count_components(poly, crit, kappa=2.0):
     """
     if not crit.converged:
         raise ValueError("count_components requires a converged CriticalSet")
-    vals = np.asarray(log_abs_p(poly, crit.points)) if len(crit) else np.empty(0)
+    vals = log_abs_p(poly, crit.points)
     outside = vals > 0.0
     n_out = int(outside.sum())
-    ambiguous = np.where(np.abs(vals) < AMBIGUITY_TOL)[0]
-    inner = annulus_inner_radius(poly.n, kappa)
-    if len(crit):
-        mods = np.abs(crit.points)
-        in_ann = (mods > inner) & (mods < 1.0)
-        n_ann = int((outside & in_ann).sum())
-    else:
-        n_ann = 0
+    mods = np.abs(crit.points)
+    in_ann = (mods > annulus_inner_radius(poly.n, kappa)) & (mods < 1.0)
     return ComponentReport(
         components=1 + n_out,
-        components_annulus=1 + n_ann,
+        components_annulus=1 + int((outside & in_ann).sum()),
         n_crit_outside=n_out,
         crit_log_values=vals,
-        annulus_inner_radius=inner,
-        ambiguous_indices=ambiguous,
+        ambiguous_indices=np.where(np.abs(vals) < AMBIGUITY_TOL)[0],
     )
 
 
-def inradius_holds(poly, kappa, boundary_points=512):
+def inradius_holds(poly, kappa):
     """True iff log|P| < 0 on the circle of radius 1 - kappa*sqrt(log n/n).
 
     By the maximum principle, negativity on the circle certifies the whole
     closed disc of that radius sits inside Lambda.  The circle is probed
-    at `boundary_points` equally spaced points.
+    at INRADIUS_PROBES equally spaced points.
     """
-    if boundary_points < 256:
-        raise ValueError("boundary_points >= 256 required")
     radius = annulus_inner_radius(poly.n, kappa)
     if radius <= 0:
         raise ValueError("kappa so large the probed circle has radius <= 0")
-    theta = (2.0 * np.pi / boundary_points) * np.arange(boundary_points)
+    theta = (2.0 * np.pi / INRADIUS_PROBES) * np.arange(INRADIUS_PROBES)
     ring = radius * np.exp(1j * theta)
     return bool(np.max(log_abs_p(poly, ring)) < 0.0)
 

@@ -64,7 +64,6 @@ class ExperimentConfig:
     mode: str = "epsint"
     out_path: str = ""
     area_samples: int = 1024
-    boundary_points: int = 512
     no_timing: bool = False
     dump_crit: bool = False
     n_list: tuple = ()
@@ -81,7 +80,6 @@ class ExperimentConfig:
             (self.eps > 0, "eps > 0"),
             (self.grid >= 256, "grid >= 256"),
             (self.area_samples >= 1, "area_samples >= 1"),
-            (self.boundary_points >= 256, "boundary_points >= 256"),
             (self.master_seed >= 0, "master_seed >= 0"),
         ]
         for ok, what in checks:
@@ -138,13 +136,11 @@ def read_config_file(path):
 
 @dataclass
 class SummaryAccumulator:
-    """Streaming count/mean/M2/min/max (Welford's update)."""
+    """Streaming count/mean/M2 (Welford's update)."""
 
     count: int = 0
     mean: float = 0.0
     m2: float = 0.0
-    min: float = math.inf
-    max: float = -math.inf
 
     def add(self, x):
         x = float(x)
@@ -152,8 +148,6 @@ class SummaryAccumulator:
         delta = x - self.mean
         self.mean += delta / self.count
         self.m2 += delta * (x - self.mean)
-        self.min = min(self.min, x)
-        self.max = max(self.max, x)
 
     @property
     def variance(self):
@@ -227,17 +221,15 @@ def run_trial(config, trial_index, stream_base=0):
         return rec, poly, None
     if not crit.converged:
         rec.failed = True
-        rec.fail_reason = "solver did not converge (max residual %g)" % (
-            float(crit.residuals.max()) if len(crit) else math.nan
-        )
+        rec.fail_reason = "solver did not converge (max residual %g)" % crit.residuals.max()
         return rec, poly, None
     report = count_components(poly, crit, kappa=config.kappa)
     rec.components = report.components
     rec.components_annulus = report.components_annulus
     rec.n_crit_outside = report.n_crit_outside
-    rec.max_residual = float(crit.residuals.max()) if len(crit) else 0.0
+    rec.max_residual = float(crit.residuals.max(initial=0.0))
     if annulus_inner_radius(n, config.kappa) > 0:
-        rec.inradius_ok = inradius_holds(poly, config.kappa, config.boundary_points)
+        rec.inradius_ok = inradius_holds(poly, config.kappa)
     else:
         rec.inradius_ok = True  # probed disc is empty: vacuously inside
     rec.area_outside_est = area_outside_mc(poly, config.area_samples, stream)

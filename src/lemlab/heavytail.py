@@ -57,11 +57,11 @@ def tail_law(r):
     return TailLaw(r=r, left_cut=r - 1.0 / (1.0 + r), right_cut=r + 1.0 / (1.0 - r))
 
 
-def sample_y(r, stream, count=1):
-    """Draw increments Y = r - Re(1/(r - X)), X uniform on the disc.
+def sample_y(r, stream, count):
+    """Draw `count` increments Y = r - Re(1/(r - X)), X uniform on the disc.
 
-    Returns a scalar for count=1, else an ndarray.  An exact collision
-    X == r has probability zero; if it ever occurs the point is redrawn.
+    Returns an ndarray of length `count`.  An exact collision X == r has
+    probability zero; if it ever occurs the point is redrawn.
     """
     if not 0.0 < r < 1.0:
         raise ValueError("r must lie in (0, 1)")
@@ -70,8 +70,7 @@ def sample_y(r, stream, count=1):
     while bad.any():
         x[bad] = sample_disc_array(stream, int(bad.sum()))
         bad = x == r
-    y = r - (1.0 / (r - x)).real
-    return float(y[0]) if count == 1 else y
+    return r - (1.0 / (r - x)).real
 
 
 def cdf_y_tail(r, t):
@@ -111,7 +110,10 @@ class McEstimate:
 
 
 def walk_interval_prob_mc(r, n, a, b, trials, stream):
-    """Monte Carlo P(W_n(r) in [a, b]) with its binomial standard error."""
+    """Monte Carlo P(W_n(r) in [a, b]) with its binomial standard error.
+
+    The increments come from `sample_y`, n per walk in draw order.
+    """
     if b < a:
         raise ValueError("need a <= b")
     if n < 1 or trials < 1:
@@ -119,10 +121,8 @@ def walk_interval_prob_mc(r, n, a, b, trials, stream):
     hits = 0
     done = 0
     while done < trials:
-        k = min(_CHUNK // max(n, 1) + 1, trials - done)
-        x = sample_disc_array(stream, k * n).reshape(k, n)
-        y = r - (1.0 / (r - x)).real
-        w = y.sum(axis=1)
+        k = min(_CHUNK // n + 1, trials - done)
+        w = sample_y(r, stream, k * n).reshape(k, n).sum(axis=1)
         hits += int(((w >= a) & (w <= b)).sum())
         done += k
     p = hits / trials

@@ -56,30 +56,22 @@ class RootedPolynomial:
 
 def _check_distinct(roots):
     # sort by real part; points closer than DISTINCT_TOL in the plane are
-    # necessarily that close in real part, so scanning a tiny window of
-    # the sorted order suffices (near-linear instead of O(n^2)).
+    # necessarily that close in real part, so each root is tested only
+    # against the later roots of a window of width 2 * DISTINCT_TOL (a
+    # superset despite rounding), all windows at once.
     order = np.argsort(roots.real, kind="stable")
     sr = roots[order]
-    n = sr.size
-    for i in range(n - 1):
-        j = i + 1
-        while j < n and sr[j].real - sr[i].real <= DISTINCT_TOL:
-            if abs(sr[j] - sr[i]) <= DISTINCT_TOL:
-                raise ValueError(
-                    "roots %d and %d coincide within %g"
-                    % (order[i], order[j], DISTINCT_TOL)
-                )
-            j += 1
-
-
-def _keep_indices(n, skip):
-    if skip is None:
-        return None
-    skip = set(int(k) for k in skip)
-    for k in skip:
-        if k < 0 or k >= n:
-            raise IndexError("skip index %d out of range for n=%d" % (k, n))
-    return np.array([k for k in range(n) if k not in skip], dtype=np.intp)
+    ends = np.searchsorted(sr.real, sr.real + 2.0 * DISTINCT_TOL, side="right")
+    width = ends - np.arange(sr.size) - 1
+    i = np.repeat(np.arange(sr.size), width)
+    j = i + 1 + np.arange(i.size) - np.repeat(np.cumsum(width) - width, width)
+    close = np.flatnonzero(np.abs(sr[j] - sr[i]) <= DISTINCT_TOL)
+    if close.size:
+        k = close[0]
+        raise ValueError(
+            "roots %d and %d coincide within %g"
+            % (order[i[k]], order[j[k]], DISTINCT_TOL)
+        )
 
 
 def log_modulus(diff):
@@ -103,17 +95,11 @@ def recip_sums(diff):
         return s, np.sum(np.multiply(inv, inv, out=inv), axis=-1)
 
 
-def _diff(poly, z, skip):
-    keep = _keep_indices(poly.n, skip)
-    roots = poly.roots if keep is None else poly.roots[keep]
-    return np.asarray(z, dtype=np.complex128)[..., None] - roots
+def log_abs_p(poly, z):
+    """log|P(z)|; -inf if z sits on a root.
 
-
-def log_abs_p(poly, z, skip=None):
-    """log|P(z)| over the non-skipped roots; -inf if z sits on one of them.
-
-    `z` may be a complex scalar or ndarray; the return matches.  With
-    skip={k} this is log|P(z)/(z - x_k)|.
+    `z` may be a complex scalar or ndarray; the return matches.
     """
-    out = log_modulus(_diff(poly, z, skip))
+    diff = np.asarray(z, dtype=np.complex128)[..., None] - poly.roots
+    out = log_modulus(diff)
     return out if out.ndim else float(out)

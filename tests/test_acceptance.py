@@ -409,7 +409,7 @@ def test_criterion_12_inradius():
     for k in range(trials):
         stream = derive_substream(4213, k)
         poly = RootedPolynomial(sample_disc_array(stream, 1000))
-        holds += inradius_holds(poly, 2.0, 512)
+        holds += inradius_holds(poly, 2.0)
     freq = holds / trials
     _report("12 inradius", freq >= 0.99, time.time() - t0, 600.0,
             "frequency %.4f" % freq)

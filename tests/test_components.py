@@ -29,6 +29,9 @@ def test_single_root_is_one_component():
     rep = count_components(poly, crit)
     assert rep.components == 1
     assert rep.n_crit_outside == 0
+    # no critical points: the empty arrays give the annulus count too
+    assert rep.components_annulus == 1
+    assert rep.crit_log_values.shape == (0,) and rep.n_ambiguous == 0
 
 
 def test_two_roots_always_one_component():
@@ -97,8 +100,8 @@ def test_inradius_monotone_in_kappa():
         stream = derive_substream(400 + seed, 0)
         poly = RootedPolynomial(sample_disc_array(stream, 200))
         k2, k1 = 2.0, 3.0  # larger kappa probes a smaller circle
-        if inradius_holds(poly, k2, 512):
-            assert inradius_holds(poly, k1, 512)
+        if inradius_holds(poly, k2):
+            assert inradius_holds(poly, k1)
 
 
 def test_inradius_trivial_small_circle():
@@ -106,15 +109,13 @@ def test_inradius_trivial_small_circle():
     poly = RootedPolynomial([0.0, 1e-6 + 1e-6j])
     kappa = 0.5 / math.sqrt(math.log(2) / 2)
     assert abs(annulus_inner_radius(2, kappa) - 0.5) < 1e-12
-    assert inradius_holds(poly, kappa, 512)
+    assert inradius_holds(poly, kappa)
 
 
 def test_inradius_rejects_empty_circle():
     poly = RootedPolynomial([0.0, 0.5])
     with pytest.raises(ValueError):
-        inradius_holds(poly, 50.0, 512)
-    with pytest.raises(ValueError):
-        inradius_holds(poly, 2.0, 100)
+        inradius_holds(poly, 50.0)
 
 
 def test_area_outside_zero_for_centered_root():

@@ -110,6 +110,22 @@ def test_walk_interval_null_and_monotone():
     assert e2.estimate >= e1.estimate
 
 
+def test_walk_checks_r_before_drawing():
+    stream = derive_substream(57, 0)
+    with pytest.raises(ValueError):
+        walk_interval_prob_mc(1.5, 10, 20.0, 30.0, 100, stream)
+    assert stream.counter == 0
+
+
+def test_walk_single_increment_single_trial():
+    # one walk of one increment: two uniforms, the draw of sample_y
+    stream = derive_substream(58, 0)
+    y = sample_y(0.5, derive_substream(58, 0), 1)
+    est = walk_interval_prob_mc(0.5, 1, y[0], y[0], 1, stream)
+    assert (est.estimate, est.se) == (1.0, 0.0)
+    assert stream.counter == 2
+
+
 def test_single_jump_prediction_values():
     assert single_jump_prediction(0.9, 200, 100.0, 100.0) == 0.0
     # direct arithmetic: n [1/(4 (a-r)^2) - 1/(4 (b-r)^2)]

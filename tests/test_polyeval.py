@@ -14,6 +14,11 @@ def sums(roots, z, skip=()):
     return recip_sums(z - np.delete(roots, list(skip)))
 
 
+def log_q(roots, z, k):
+    """log|P(z)/(z - x_k)|, as log|P| of the roots other than x_k."""
+    return log_abs_p(RootedPolynomial(np.delete(roots, k)), z)
+
+
 def test_single_factor():
     poly = RootedPolynomial([0.5])
     assert log_abs_p(poly, 0.0) == pytest.approx(math.log(0.5), abs=1e-15)
@@ -37,7 +42,7 @@ def test_matches_coefficient_oracle_small_degrees():
             ref_s = polyval_coeffs(dc, z) / ref
             assert sums(roots, z)[0] == pytest.approx(ref_s, rel=1e-10)
             if n >= 2:
-                assert log_abs_p(poly, z, {0}) == pytest.approx(
+                assert log_q(roots, z, 0) == pytest.approx(
                     math.log(abs(ref / (z - roots[0]))), rel=1e-10
                 )
 
@@ -116,14 +121,14 @@ def test_log_modulus_bounds_on_radius_two_circle():
 
 def test_log_abs_q_examples():
     poly = RootedPolynomial([0.0, 0.5])
-    assert log_abs_p(poly, 0.25, {0}) == pytest.approx(math.log(0.25), abs=1e-12)
+    assert log_q(poly.roots, 0.25, 0) == pytest.approx(math.log(0.25), abs=1e-12)
     # factorization: log|Q| + log|z - x_skip| = log|P|
     rng = np.random.default_rng(7)
     roots = disc_points(rng, 9) * 0.9
     poly = RootedPolynomial(roots)
     for z in disc_points(rng, 10) * 1.3:
         for j in (0, 4, 8):
-            lhs = log_abs_p(poly, z, {j}) + math.log(abs(z - roots[j]))
+            lhs = log_q(roots, z, j) + math.log(abs(z - roots[j]))
             assert lhs == pytest.approx(log_abs_p(poly, z), rel=1e-12, abs=1e-12)
 
 
@@ -140,3 +145,13 @@ def test_construction_validation():
     with pytest.raises(ValueError):
         RootedPolynomial([])
     RootedPolynomial([1.0, -1.0, 1j])  # closed-disc boundary points allowed
+
+
+def test_close_pair_found_past_a_nearer_real_part():
+    # roots 0 and 2 are 0.85e-15 apart; root 1 sits between them in real
+    # part but 0.5 away, so the pair is not adjacent in real-part order
+    roots = [0.3, 0.3 + 0.3e-15 + 0.5j, 0.3 + 0.6e-15 + 0.6e-15j]
+    with pytest.raises(ValueError, match="roots 0 and 2 coincide within 1e-15"):
+        RootedPolynomial(roots)
+    with pytest.raises(ValueError, match="roots 2 and 0 coincide"):
+        RootedPolynomial(roots[::-1])
