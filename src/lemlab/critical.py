@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polyeval import recip_sums
+from .polyeval import close_pair, pair_sums
 from .rng import RngStream
 
 #: iterate update below this (relative) size counts as converged
@@ -63,29 +63,6 @@ class CriticalSet:
         return self.points.size
 
 
-def _pair_rows(pts):
-    """pts[rows] - pts, 512 rows at a time, with the self-pairs set to inf."""
-    for lo in range(0, pts.size, 512):
-        hi = min(lo + 512, pts.size)
-        d = pts[lo:hi, None] - pts[None, :]
-        d[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
-        yield d
-
-
-def _nearest_gaps(pts):
-    """Distance from each point to its nearest other."""
-    return np.concatenate([np.abs(d).min(axis=1) for d in _pair_rows(pts)])
-
-
-def _root_pairs(roots):
-    """Root gaps and S_rest(x_k) = sum_{j != k} 1/(x_k - x_j), in one pass.
-
-    The inf self-pair adds 1/inf = 0 to S_rest."""
-    gaps, s_rest = zip(*[(np.abs(d).min(axis=1), recip_sums(d)[0])
-                         for d in _pair_rows(roots)])
-    return np.concatenate(gaps), np.concatenate(s_rest)
-
-
 def _nudge(roots, gaps, idx, stream):
     """roots[idx], each moved 1e-3 * gaps[idx] at an angle from `stream`."""
     angles = (2.0 * np.pi) * stream.uniforms(idx.size)
@@ -111,7 +88,8 @@ def find_critical_points(poly, max_iters=120, stream=None):
         )
     if stream is None:
         stream = RngStream(0, 0)
-    gaps, s_rest = _root_pairs(roots)
+    # root gaps and S_rest(x_k) = sum_{j != k} 1/(x_k - x_j)
+    gaps, s_rest = pair_sums(roots, roots, "dmin", "S", skip=np.arange(n))
     m = n - 1
     z = _nudge(roots, gaps, np.arange(m), stream)
     paired = np.flatnonzero(np.abs(s_rest[:m]) * gaps[:m] > 2.0)  # |1/S_rest| < gap/2
@@ -128,8 +106,7 @@ def find_critical_points(poly, max_iters=120, stream=None):
             break
         sweeps += 1
         za = z[idx]
-        diff = za[:, None] - roots[None, :]
-        dmin = np.abs(diff).min(axis=1)
+        dmin, S, R = pair_sums(za, roots, "dmin", "S", "R")
 
         hit = dmin < COLLISION_TOL
         if hit.any():
@@ -151,12 +128,9 @@ def find_critical_points(poly, max_iters=120, stream=None):
         else:
             collide_streak[idx] = 0
 
-        S, R = recip_sums(diff)
+        (A,) = pair_sums(za, z, "S", skip=idx)  # sum_{j != i} 1/(z_i - z_j)
         with np.errstate(divide="ignore", invalid="ignore"):
             N = S / (S * S - R)
-            pd = za[:, None] - z[None, :]
-            pd[np.arange(idx.size), idx] = np.inf
-            A = np.divide(1.0, pd, out=pd).sum(axis=1)
             w = N / (1.0 - N * A)
         # guard rare degenerate denominators: fall back to a bounded step
         badw = ~np.isfinite(w)
@@ -179,9 +153,8 @@ def find_critical_points(poly, max_iters=120, stream=None):
         prev_step[idx] = aw
         active[idx[done]] = False
 
-    diff = z[:, None] - roots[None, :]
-    S, _ = recip_sums(diff)
-    residuals = np.abs(S) * np.abs(diff).min(axis=1)
+    dmin, S = pair_sums(z, roots, "dmin", "S")
+    residuals = np.abs(S) * dmin
     converged = bool(np.all(residuals < RESIDUAL_TOL)) and not active.any()
     crit = CriticalSet(points=z, residuals=residuals,
                        iterations=sweeps, converged=converged)
@@ -192,7 +165,9 @@ def find_critical_points(poly, max_iters=120, stream=None):
 
 def _validate(crit):
     pts = crit.points
-    if pts.size > 1 and _nearest_gaps(pts).min() < SEPARATION_TOL:
+    # close_pair tests <= tol; the largest double below SEPARATION_TOL
+    # makes that the strict < SEPARATION_TOL
+    if close_pair(pts, np.nextafter(SEPARATION_TOL, 0.0)) is not None:
         crit.converged = False
         return
     if np.abs(pts).max(initial=0.0) > 1.0 + DISC_SLACK:
@@ -203,7 +178,5 @@ def pairing_distances(poly, crit):
     """Distance from each critical point to its nearest root, ascending."""
     if not crit.converged:
         raise ValueError("pairing_distances requires a converged CriticalSet")
-    if len(crit) == 0:
-        return np.empty(0)
-    d = np.abs(crit.points[:, None] - poly.roots[None, :])
-    return np.sort(d.min(axis=1))
+    (d,) = pair_sums(crit.points, poly.roots, "dmin")
+    return np.sort(d)

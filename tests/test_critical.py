@@ -1,9 +1,18 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from lemlab.components import count_components
-from lemlab.critical import find_critical_points, pairing_distances
-from lemlab.polyeval import RootedPolynomial, recip_sums
+from lemlab.critical import (
+    SEPARATION_TOL,
+    CriticalSet,
+    _validate,
+    find_critical_points,
+    pairing_distances,
+)
+from lemlab.polyeval import RootedPolynomial, log_abs_p, recip_sums
 from lemlab.rng import derive_substream, sample_disc_array
 
 from util import coeffs_from_roots, polyder_coeffs, winding_zero_count
@@ -166,3 +175,55 @@ def test_nonconvergence_reports_partial_state():
 def test_requires_two_roots():
     empty = find_critical_points(RootedPolynomial([0.1]))
     assert empty.converged and len(empty) == 0
+
+
+def test_validate_separation_is_strict():
+    def validated(gap):
+        crit = CriticalSet(points=np.array([0.3j, 0.0, gap, -0.4]),
+                           residuals=np.zeros(4), iterations=1, converged=True)
+        _validate(crit)
+        return crit.converged
+
+    assert validated(SEPARATION_TOL)
+    assert not validated(np.nextafter(SEPARATION_TOL, 0.0))
+
+
+def test_concurrent_solves_match_serial_bitwise():
+    # the row-block scratch is per thread: four threads (more than the
+    # cores) solving and evaluating different degrees at once, with a
+    # short switch interval, get the serial bits
+    sizes = (30, 120, 260, 700)
+    grid = 1.1 * np.exp(2j * np.pi * np.arange(900) / 900.0)
+
+    def work(n):
+        poly = RootedPolynomial(sample_disc_array(derive_substream(31, n), n))
+        crit = find_critical_points(poly, stream=derive_substream(32, n))
+        return crit.points, crit.residuals, crit.iterations, log_abs_p(poly, grid)
+
+    serial = {n: work(n) for n in sizes}
+    got = {n: [] for n in sizes}
+    start = threading.Barrier(len(sizes))
+
+    def run(n):
+        start.wait(timeout=30)
+        for _ in range(3):
+            got[n].append(work(n))
+
+    threads = [threading.Thread(target=run, args=(n,)) for n in sizes]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    for n in sizes:
+        assert len(got[n]) == 3
+        for points, residuals, sweeps, vals in got[n]:
+            assert np.array_equal(points, serial[n][0])
+            assert np.array_equal(residuals, serial[n][1])
+            assert sweeps == serial[n][2]
+            assert np.array_equal(vals, serial[n][3])

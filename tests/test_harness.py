@@ -108,6 +108,23 @@ def test_trial_record_invariant_and_n2_counts():
         assert rec.wall_micros == 0
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="per-thread minor-fault counts are read on Linux only")
+def test_trials_do_not_page_fault_after_warmup():
+    # the root-sum passes reuse per-thread scratch, so a warm trial hands
+    # no memory back to the allocator to fault in again
+    import resource
+
+    cfg = ExperimentConfig(n=100, trials=1, master_seed=5, no_timing=True)
+    for k in range(20):
+        run_trial(cfg, k)
+    before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+    for k in range(20, 220):
+        run_trial(cfg, k)
+    faults = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before
+    assert faults < 50 * 200, "%.1f minor faults per trial" % (faults / 200)
+
+
 def test_simulate_writes_sorted_csv_and_summary(tmp_path):
     out = tmp_path / "sim.csv"
     cfg = ExperimentConfig(

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from lemlab.polyeval import RootedPolynomial, log_abs_p, recip_sums
+from lemlab.polyeval import (
+    BLOCK_PAIRS,
+    RootedPolynomial,
+    log_abs_p,
+    log_modulus,
+    pair_sums,
+    recip_sums,
+)
 from lemlab.rng import derive_substream, sample_disc_array
 
 from util import coeffs_from_roots, disc_points, polyder_coeffs, polyval_coeffs
@@ -155,3 +162,38 @@ def test_close_pair_found_past_a_nearer_real_part():
         RootedPolynomial(roots)
     with pytest.raises(ValueError, match="roots 2 and 0 coincide"):
         RootedPolynomial(roots[::-1])
+
+
+@pytest.mark.parametrize("n", [37, BLOCK_PAIRS + 3])
+def test_blocked_pass_equals_one_shot_kernels_bitwise(n):
+    # block boundaries at m = 1, rows - 1, rows, rows + 1 and 3 rows + 5;
+    # above BLOCK_PAIRS roots a block is one row
+    roots = sample_disc_array(derive_substream(21, n), n)
+    poly = RootedPolynomial(roots)
+    rows = max(1, BLOCK_PAIRS // n)
+    for m in sorted({1, rows - 1, rows, rows + 1, 3 * rows + 5} - {0}):
+        z = 1.2 * sample_disc_array(derive_substream(22, m), m)
+        d = z[:, None] - roots
+        dmin, s, r = pair_sums(z, roots, "dmin", "S", "R")
+        s1, r1 = recip_sums(d)
+        assert np.array_equal(dmin, np.abs(d).min(axis=1))
+        assert np.array_equal(s, s1) and np.array_equal(r, r1)
+        assert np.array_equal(log_abs_p(poly, z), log_modulus(d))
+    # skipping the self-pairs, as the solver's root-pair pass does
+    pts = roots[: 3 * rows + 5]
+    d = pts[:, None] - roots
+    d[np.arange(pts.size), np.arange(pts.size)] = np.inf
+    dmin, s = pair_sums(pts, roots, "dmin", "S", skip=np.arange(pts.size))
+    assert np.array_equal(dmin, np.abs(d).min(axis=1))
+    assert np.array_equal(s, recip_sums(d)[0])
+
+
+def test_blocked_log_abs_p_on_2d_grid_and_on_a_root():
+    roots = sample_disc_array(derive_substream(23, 0), 37)
+    poly = RootedPolynomial(roots)
+    z = 1.3 * sample_disc_array(derive_substream(24, 0), 7 * 400).reshape(7, 400)
+    z[3, 123] = roots[5]
+    vals = log_abs_p(poly, z)
+    assert vals.shape == z.shape and vals[3, 123] == -np.inf
+    assert np.array_equal(vals, log_modulus(z[..., None] - roots))
+    assert log_abs_p(poly, z[0, 0]) == log_modulus(z[0, 0] - roots)
