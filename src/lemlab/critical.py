@@ -52,12 +52,17 @@ class RootCollisionError(RuntimeError):
 
 @dataclass
 class CriticalSet:
-    """The n-1 critical points with per-point convergence diagnostics."""
+    """The n-1 critical points with per-point convergence diagnostics.
+
+    `pairs` counts the point-root and point-iterate pairs that the
+    solve's root-sum passes evaluated.
+    """
 
     points: np.ndarray
     residuals: np.ndarray
     iterations: int
     converged: bool
+    pairs: int = 0
 
     def __len__(self):
         return self.points.size
@@ -90,6 +95,7 @@ def find_critical_points(poly, max_iters=120, stream=None):
         stream = RngStream(0, 0)
     # root gaps and S_rest(x_k) = sum_{j != k} 1/(x_k - x_j)
     gaps, s_rest = pair_sums(roots, roots, "dmin", "S", skip=np.arange(n))
+    pairs = n * n
     m = n - 1
     z = _nudge(roots, gaps, np.arange(m), stream)
     paired = np.flatnonzero(np.abs(s_rest[:m]) * gaps[:m] > 2.0)  # |1/S_rest| < gap/2
@@ -107,6 +113,7 @@ def find_critical_points(poly, max_iters=120, stream=None):
         sweeps += 1
         za = z[idx]
         dmin, S, R = pair_sums(za, roots, "dmin", "S", "R")
+        pairs += idx.size * n
 
         hit = dmin < COLLISION_TOL
         if hit.any():
@@ -129,6 +136,7 @@ def find_critical_points(poly, max_iters=120, stream=None):
             collide_streak[idx] = 0
 
         (A,) = pair_sums(za, z, "S", skip=idx)  # sum_{j != i} 1/(z_i - z_j)
+        pairs += idx.size * m
         with np.errstate(divide="ignore", invalid="ignore"):
             N = S / (S * S - R)
             w = N / (1.0 - N * A)
@@ -154,10 +162,11 @@ def find_critical_points(poly, max_iters=120, stream=None):
         active[idx[done]] = False
 
     dmin, S = pair_sums(z, roots, "dmin", "S")
+    pairs += m * n
     residuals = np.abs(S) * dmin
     converged = bool(np.all(residuals < RESIDUAL_TOL)) and not active.any()
-    crit = CriticalSet(points=z, residuals=residuals,
-                       iterations=sweeps, converged=converged)
+    crit = CriticalSet(points=z, residuals=residuals, iterations=sweeps,
+                       converged=converged, pairs=pairs)
     if converged:
         _validate(crit)
     return crit

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .components import annulus_inner_radius
-from .polyeval import log_modulus, recip_sums
+from .polyeval import pair_sums
 from .rng import sample_disc_array
 
 _LOG_GUARD = 700.0
@@ -48,9 +48,7 @@ class LogOverflowError(OverflowError):
 
 def _log_moduli(poly, x, y):
     """(log|P'|, log|P''|) at the complex points x + iy, via root sums."""
-    diff = (x + 1j * y)[..., None] - poly.roots
-    logp = log_modulus(diff)
-    s, r = recip_sums(diff)
+    logp, s, r = pair_sums(x + 1j * y, poly.roots, "log", "S", "R")
     with np.errstate(divide="ignore", invalid="ignore"):
         log_dp = logp + np.log(np.abs(s))
         log_ddp = logp + np.log(np.abs(s * s - r))
@@ -161,23 +159,24 @@ def _chunks(n, trials):
     return [min(chunk, trials - lo) for lo in range(0, trials, chunk)]
 
 
-def _draw_x0_and_rest(stream, count, m):
+def _draw_x0_and_rest(stream, count, m, *names):
     """`count` draws of X_0 and m further uniform disc roots.
 
     A draw whose reciprocal sum S(X_0) over the m roots is zero or not
     finite is degenerate and is redrawn whole (X_0 first, then its m
-    roots).  Returns (x0, rest, diff, S, R, degenerate) with
-    diff = X_0 - rest and `degenerate` the number of redraws.
+    roots).  Returns (x0, rest, degenerate, S, ...): `degenerate` is the
+    number of redraws, followed by S and the `pair_sums` of X_0 against
+    its roots for each further name.
     """
     x0 = sample_disc_array(stream, count)
     rest = sample_disc_array(stream, count * m).reshape(count, m)
     degenerate = 0
     while True:
-        diff = x0[:, None] - rest
-        s, r = recip_sums(diff)
+        sums = pair_sums(x0, rest, "S", *names)
+        s = sums[0]
         bad = (s == 0) | ~np.isfinite(s)
         if not bad.any():
-            return x0, rest, diff, s, r, degenerate
+            return (x0, rest, degenerate) + sums
         nb = int(bad.sum())
         degenerate += nb
         x0[bad] = sample_disc_array(stream, nb)
@@ -197,8 +196,7 @@ def _in_event(n, kappa, x0, s, log_q):
 
 def _event_batch(n, kappa, stream, count):
     """Vectorized draw of `count` samples; returns a dict of arrays."""
-    x0, rest, diff, s, r, degenerate = _draw_x0_and_rest(stream, count, n - 1)
-    log_q = log_modulus(diff)
+    x0, rest, degenerate, s, r, log_q = _draw_x0_and_rest(stream, count, n - 1, "R", "log")
     in_event, in_ann, log_s = _in_event(n, kappa, x0, s, log_q)
     return {
         "x0": x0,
@@ -254,8 +252,7 @@ def _mn_importance_chunk(n, kappa, stream, k):
     4/alpha, so the estimator's variance (and hence its reported SE) is
     trustworthy at criterion sample sizes.
     """
-    x0, _, diff, s_t, _, degenerate = _draw_x0_and_rest(stream, k, n - 2)
-    log_q_rest = log_modulus(diff)
+    x0, _, degenerate, s_t, log_q_rest = _draw_x0_and_rest(stream, k, n - 2, "log")
 
     abs_st = np.abs(s_t)
     xi = x0 + 1.0 / s_t
@@ -285,7 +282,7 @@ def _mn_importance_chunk(n, kappa, stream, k):
     is_weight = np.where(in_disc & (dens_ratio > 0), 1.0 / dens_ratio, 0.0)
 
     diff2 = x0 - x2
-    s_full = recip_sums(diff2[:, None])[0] + s_t  # S_t + 1/(X_0 - X_2)
+    s_full = pair_sums(x0, x2[:, None], "S")[0] + s_t  # S_t + 1/(X_0 - X_2)
     log_x0x2 = np.log(np.abs(diff2))
     in_event, _, log_s = _in_event(n, kappa, x0, s_full, log_q_rest + log_x0x2)
     in_event &= in_disc

@@ -8,24 +8,39 @@ lemniscate experiments is a root sum:
     P'(z)/P(z)     = sum_k 1/(z - x_k)
     (P'^2 - P P'')(z) / P(z)^2 = sum_k 1/(z - x_k)^2
 
-Every evaluation in the package sums over the last axis of a difference
-array z - x_k in root-index order (numpy's fixed pairwise reduction of
-each row), chosen for reproducibility over the last bits of accuracy.
-The kernels `log_modulus` and `recip_sums` take such an array whole.
-The one exception is `raster`, whose cell values stay a separate,
-independent oracle for the critical-value count.
+Every evaluation in the package but one goes through `pair_sums`, which
+takes m points against n roots (shared, or one row of roots per point)
+and sums over the roots in root-index order (numpy's fixed pairwise
+reduction of each row), chosen for reproducibility over the last bits
+of accuracy.  The one exception is `raster`, whose cell values stay a
+separate, independent oracle for the critical-value count.
 
-`pair_sums` is the same arithmetic for m points against n roots without
-the m x n array.  It takes the points in row blocks of BLOCK_PAIRS // n
-rows (one row when n exceeds BLOCK_PAIRS) and writes each block's
-differences, moduli and reciprocals with `out=` into scratch arrays held
-per thread (`threading.local`).  A complex block of 2**15 pairs is
-512 KB, so it stays in cache; the scratch grows to the largest block the
-thread has used and is kept, so no pass hands memory back to the
-allocator only to fault it in again on the next call.  Blocking moves
-no bit: each block is a C-contiguous (rows, n) array, numpy reduces
-each row on its own, and every element goes through the same
-operations as in `log_modulus` and `recip_sums`.
+The sums are division-free.  For each pair, d = z - x_k and
+q = re(d)^2 + im(d)^2 are formed once, and every reduction comes from
+them: the nearest root is sqrt(min q), 1/d is conj(d)/q, so
+S = conj(sum d * (1/q)) and R = conj(sum (d * (1/q))^2), and
+log|P| = 0.5 * sum log q.  numpy's complex 1/d follows Smith's algorithm
+(two real divisions and a branch per element) only to keep |d|^2 from
+overflowing, which needs |d| above about 1e154; the differences formed
+here are at most a few units.  At the other end, q underflows and 1/q
+is inf below about 1e-154, so a difference that small, or zero, gives
+a non-finite S and R; the callers test for that, and the solver already
+treats any difference below its collision tolerance, 1e-14, as a
+collision.  Negation is exact, so the conjugate of an m-long sum is bit
+for bit the sum of the conjugates, and it is taken once per output, not
+once per pair.  A skipped pair has q = inf: it adds d * 0 = 0 to S and
+R and drops out of the minimum.
+
+`pair_sums` takes the points in row blocks of BLOCK_PAIRS // n rows
+(one row when n exceeds BLOCK_PAIRS) and writes each block's
+differences, q and d/q with `out=` into scratch arrays held per thread
+(`threading.local`).  A complex block of 2**15 pairs is 512 KB, so it
+stays in cache; the scratch grows to the largest block the thread has
+used and is kept, so no pass hands memory back to the allocator only
+to fault it in again on the next call.  Blocking moves no bit: each
+block is a C-contiguous (rows, n) array, numpy reduces each row on its
+own, and every element goes through the same operations whatever the
+block.
 """
 
 from __future__ import annotations
@@ -40,6 +55,7 @@ DISTINCT_TOL = 1e-15
 BLOCK_PAIRS = 1 << 15
 
 _scratch = threading.local()
+_DTYPES = {"dmin": np.float64, "S": np.complex128, "R": np.complex128, "log": np.float64}
 
 
 class RootedPolynomial:
@@ -95,27 +111,6 @@ def close_pair(pts, tol):
     return int(order[i[k]]), int(order[j[k]])
 
 
-def log_modulus(diff):
-    """0.5 * sum log(re^2 + im^2) over the last axis of `diff`.
-
-    With diff = z - x_k this is log|P(z)|; a zero difference gives -inf.
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return 0.5 * np.sum(np.log(diff.real**2 + diff.imag**2), axis=-1)
-
-
-def recip_sums(diff):
-    """(S, R) = (sum 1/d, sum (1/d)^2) over the last axis of `diff`.
-
-    No coincidence guard: a zero difference yields inf or nan, which the
-    callers test for (or know cannot occur).
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = np.divide(1.0, diff)
-        s = np.sum(inv, axis=-1)
-        return s, np.sum(np.multiply(inv, inv, out=inv), axis=-1)
-
-
 def _workspace(pairs):
     """This thread's scratch: at least `pairs` complex and 2 * `pairs` float slots."""
     work = getattr(_scratch, "arrays", None)
@@ -125,45 +120,55 @@ def _workspace(pairs):
 
 
 def pair_sums(z, x, *names, skip=None):
-    """Reductions over the pairs (z_i, x_k) of 1-D complex arrays, by row blocks.
+    """Reductions over the pairs (z_i, x_ik) of complex arrays, by row blocks.
 
-    Returns one array of z's length per name, in the order given:
-    "dmin" = min_k |z_i - x_k|, "S" = sum_k 1/(z_i - x_k),
-    "R" = sum_k 1/(z_i - x_k)^2 and "log" = log|P(z_i)|, bit for bit
-    what `np.abs(d).min(axis=1)`, `recip_sums(d)` and `log_modulus(d)`
-    give on d = z[:, None] - x.  With `skip` (one column per row), the
-    pair (i, skip[i]) is set to inf, so it adds 1/inf = 0 to S and R and
-    drops out of dmin.
+    `x` holds the roots: 1-D when every point shares them, or 2-D with
+    row i the roots of point z_i.  Returns one array of z's length per
+    name, in the order given: "dmin" = min_k |z_i - x_ik|,
+    "S" = sum_k 1/(z_i - x_ik), "R" = sum_k 1/(z_i - x_ik)^2 and
+    "log" = sum_k log|z_i - x_ik|, each from q = |d|^2 as the module
+    docstring sets out.  With `skip` (one column per row), the pair
+    (i, skip[i]) adds 0 to S and R and drops out of dmin.
+
+    No coincidence guard: a difference below about 1e-154 in modulus,
+    zero included, gives a non-finite S and R.  The solver's collision
+    path and the conditioned event's redraw test for it.
     """
-    if not set(names) <= {"dmin", "S", "R", "log"}:
-        raise ValueError("unknown pair sum in %r" % (names,))
-    m, n = z.size, x.size
+    m, n = z.size, x.shape[-1]
     rows = max(1, BLOCK_PAIRS // n)
     cwork, fwork = _workspace(min(m, rows) * n)
-    out = {name: np.empty(m, np.complex128 if name in ("S", "R") else np.float64)
-           for name in names}
-    with np.errstate(divide="ignore", invalid="ignore"):
+    out = {name: np.empty(m, _DTYPES[name]) for name in names}
+    dmin, S, R, log = map(out.get, ("dmin", "S", "R", "log"))
+    if skip is not None:
+        row = np.arange(min(m, rows))
+    with np.errstate(all="ignore"):
         for lo in range(0, m, rows):
             hi = min(lo + rows, m)
             k = (hi - lo) * n
-            d = np.subtract(z[lo:hi, None], x, out=cwork[:k].reshape(hi - lo, n))
+            d = np.subtract(z[lo:hi, None], x if x.ndim == 1 else x[lo:hi],
+                            out=cwork[:k].reshape(hi - lo, n))
+            q = np.square(d.real, out=fwork[:k].reshape(d.shape))
+            b = np.square(d.imag, out=fwork[k:2 * k].reshape(d.shape))
+            q += b
             if skip is not None:
-                d[np.arange(hi - lo), skip[lo:hi]] = np.inf
-            a = fwork[:k].reshape(d.shape)
-            if "dmin" in out:
-                np.minimum.reduce(np.abs(d, out=a), axis=1, out=out["dmin"][lo:hi])
-            if "log" in out:
-                b = fwork[k:2 * k].reshape(d.shape)
-                np.add(np.square(d.real, out=a), np.square(d.imag, out=b), out=a)
-                np.add.reduce(np.log(a, out=a), axis=1, out=out["log"][lo:hi])
-            if "S" in out or "R" in out:
-                np.divide(1.0, d, out=d)
-                if "S" in out:
-                    np.add.reduce(d, axis=1, out=out["S"][lo:hi])
-                if "R" in out:
-                    np.add.reduce(np.multiply(d, d, out=d), axis=1, out=out["R"][lo:hi])
-    if "log" in out:
-        out["log"] *= 0.5
+                q[row[:hi - lo], skip[lo:hi]] = np.inf
+            if dmin is not None:
+                np.minimum.reduce(q, axis=1, out=dmin[lo:hi])
+            if log is not None:
+                np.add.reduce(np.log(q, out=b), axis=1, out=log[lo:hi])
+            if S is not None or R is not None:
+                np.multiply(d, np.reciprocal(q, out=q), out=d)
+                if S is not None:
+                    np.add.reduce(d, axis=1, out=S[lo:hi])
+                if R is not None:
+                    np.add.reduce(np.square(d, out=d), axis=1, out=R[lo:hi])
+    if dmin is not None:
+        np.sqrt(dmin, out=dmin)
+    if log is not None:
+        log *= 0.5
+    for a in (S, R):
+        if a is not None:
+            np.conjugate(a, out=a)
     return tuple(out[name] for name in names)
 
 

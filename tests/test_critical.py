@@ -1,9 +1,11 @@
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
 
+from lemlab import critical
 from lemlab.components import count_components
 from lemlab.critical import (
     SEPARATION_TOL,
@@ -12,7 +14,7 @@ from lemlab.critical import (
     find_critical_points,
     pairing_distances,
 )
-from lemlab.polyeval import RootedPolynomial, log_abs_p, recip_sums
+from lemlab.polyeval import RootedPolynomial, log_abs_p, pair_sums
 from lemlab.rng import derive_substream, sample_disc_array
 
 from util import coeffs_from_roots, polyder_coeffs, winding_zero_count
@@ -81,7 +83,7 @@ def test_start_rule_paired_newton_or_nudge(n):
     for k in range(n - 1):
         rest = roots[k] - np.delete(roots, k)
         gap = np.abs(rest).min()
-        step = 1.0 / recip_sums(rest)[0]
+        step = 1.0 / pair_sums(roots[k:k + 1], np.delete(roots, k), "S")[0][0]
         if abs(step) < 0.5 * gap:
             assert starts[k] == pytest.approx(roots[k] - step, rel=0, abs=1e-12 * gap)
             paired += 1
@@ -159,7 +161,7 @@ def test_residual_certificate_flags_spurious_points():
     stream = derive_substream(27, 0)
     roots = sample_disc_array(stream, 30)
     probe = roots[0] + 1e-8
-    res = abs(recip_sums(probe - roots)[0]) * np.abs(probe - roots).min()
+    res = abs(pair_sums(np.array([probe]), roots, "S")[0][0]) * np.abs(probe - roots).min()
     assert res > 0.5
 
 
@@ -227,3 +229,36 @@ def test_concurrent_solves_match_serial_bitwise():
             assert np.array_equal(residuals, serial[n][1])
             assert sweeps == serial[n][2]
             assert np.array_equal(vals, serial[n][3])
+
+
+def test_pairs_counts_every_root_sum_pass(monkeypatch):
+    # pairs is the sum of rows x roots over the solve's pair_sums passes
+    passes = []
+
+    def spy(z, x, *names, **kw):
+        passes.append(z.size * x.shape[-1])
+        return pair_sums(z, x, *names, **kw)
+
+    monkeypatch.setattr(critical, "pair_sums", spy)
+    for n in (2, 12, 150):
+        passes.clear()
+        poly = RootedPolynomial(sample_disc_array(derive_substream(33, n), n))
+        crit = find_critical_points(poly, stream=derive_substream(34, n))
+        assert crit.converged and crit.pairs == sum(passes)
+        assert len(passes) == 2 + 2 * crit.iterations
+    assert find_critical_points(RootedPolynomial([0.1])).pairs == 0
+
+
+def test_iterates_started_on_roots_leave_them(monkeypatch):
+    # an iterate on a root has d = 0 there, so its S and R are not
+    # finite; the sweep's bounded fallback step moves it off, and the
+    # solve finds the same points as from the usual starts
+    n = 12
+    poly = RootedPolynomial(sample_disc_array(derive_substream(23, n), n))
+    usual = find_critical_points(poly, stream=derive_substream(23, 1))
+    monkeypatch.setattr(critical, "_nudge", lambda roots, gaps, idx, stream: roots[idx])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        crit = find_critical_points(poly, stream=derive_substream(23, 1))
+    assert crit.converged and usual.converged
+    assert np.abs(np.sort_complex(crit.points) - np.sort_complex(usual.points)).max() < 1e-9

@@ -8,7 +8,9 @@ import pytest
 from lemlab.cli import main
 from lemlab.components import annulus_inner_radius, count_components
 from lemlab.critical import find_critical_points
+from lemlab import kacrice
 from lemlab.kacrice import (
+    _draw_x0_and_rest,
     _event_batch,
     epsilon_count,
     estimate_p_on,
@@ -220,3 +222,19 @@ def test_cli_outputs_pinned(args, pinned):
     rows = dict(line.split(",")[:2] for line in buf.getvalue().splitlines()[1:])
     for name, value in pinned.items():
         assert float(rows[name]) == pytest.approx(value, rel=1e-9)
+
+
+def test_coincident_or_underflowing_draws_are_redrawn(monkeypatch):
+    # X_0 on one of its roots (d = 0), or 1e-160 from it (q underflows),
+    # has a non-finite S; both draws are redrawn whole, the third is kept
+    crafted = [np.array([0.5, 0.0, 0.25], np.complex128),
+               np.array([0.5, 0.1, 1e-160, 0.3j, 0.6, -0.2], np.complex128)]
+
+    def draw(stream, count):
+        return crafted.pop(0) if crafted else sample_disc_array(stream, count)
+
+    monkeypatch.setattr(kacrice, "sample_disc_array", draw)
+    x0, rest, degenerate, s, log_q = _draw_x0_and_rest(derive_substream(68, 0), 3, 2, "log")
+    assert degenerate == 2
+    assert np.isfinite(s).all() and np.isfinite(log_q).all()
+    assert x0[2] == 0.25 and np.array_equal(rest[2], [0.6, -0.2])

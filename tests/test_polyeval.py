@@ -3,22 +3,28 @@ import math
 import numpy as np
 import pytest
 
-from lemlab.polyeval import (
-    BLOCK_PAIRS,
-    RootedPolynomial,
-    log_abs_p,
-    log_modulus,
-    pair_sums,
-    recip_sums,
-)
+from lemlab.polyeval import BLOCK_PAIRS, RootedPolynomial, log_abs_p, pair_sums
 from lemlab.rng import derive_substream, sample_disc_array
 
 from util import coeffs_from_roots, disc_points, polyder_coeffs, polyval_coeffs
 
 
 def sums(roots, z, skip=()):
-    """(S, R) over the roots not in `skip`, from the kernel."""
-    return recip_sums(z - np.delete(roots, list(skip)))
+    """(S, R) at the point z over the roots not in `skip`, from the kernel."""
+    (s,), (r,) = pair_sums(np.array([z], np.complex128), np.delete(roots, list(skip)), "S", "R")
+    return s, r
+
+
+def reference_sums(d, skipped=False):
+    """dmin, S, R and log|P| over the last axis of `d`, whole, from q = |d|^2.
+
+    q is inf where the mask `skipped` is set.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = np.where(skipped, np.inf, d.real**2 + d.imag**2)
+        t = d * (1.0 / q)
+        return (np.sqrt(q.min(axis=-1)), np.conj(t.sum(axis=-1)),
+                np.conj((t * t).sum(axis=-1)), 0.5 * np.log(q).sum(axis=-1))
 
 
 def log_q(roots, z, k):
@@ -173,19 +179,21 @@ def test_blocked_pass_equals_one_shot_kernels_bitwise(n):
     rows = max(1, BLOCK_PAIRS // n)
     for m in sorted({1, rows - 1, rows, rows + 1, 3 * rows + 5} - {0}):
         z = 1.2 * sample_disc_array(derive_substream(22, m), m)
-        d = z[:, None] - roots
-        dmin, s, r = pair_sums(z, roots, "dmin", "S", "R")
-        s1, r1 = recip_sums(d)
-        assert np.array_equal(dmin, np.abs(d).min(axis=1))
-        assert np.array_equal(s, s1) and np.array_equal(r, r1)
-        assert np.array_equal(log_abs_p(poly, z), log_modulus(d))
-    # skipping the self-pairs, as the solver's root-pair pass does
+        ref = reference_sums(z[:, None] - roots)
+        assert all(map(np.array_equal, pair_sums(z, roots, "dmin", "S", "R", "log"), ref))
+        assert np.array_equal(log_abs_p(poly, z), ref[3])
+        # one row of roots per point
+        per_point = roots * np.exp(1j * np.arange(m))[:, None]
+        ref = reference_sums(z[:, None] - per_point)
+        assert all(map(np.array_equal, pair_sums(z, per_point, "R", "dmin", "S"),
+                       (ref[2], ref[0], ref[1])))
+    # skipping the self-pairs, as the solver's root-pair pass does: the
+    # skipped pair has q = inf
     pts = roots[: 3 * rows + 5]
-    d = pts[:, None] - roots
-    d[np.arange(pts.size), np.arange(pts.size)] = np.inf
     dmin, s = pair_sums(pts, roots, "dmin", "S", skip=np.arange(pts.size))
-    assert np.array_equal(dmin, np.abs(d).min(axis=1))
-    assert np.array_equal(s, recip_sums(d)[0])
+    ref = reference_sums(pts[:, None] - roots, np.eye(pts.size, n, dtype=bool))
+    assert np.array_equal(dmin, ref[0]) and np.array_equal(s, ref[1])
+    assert np.isfinite(s).all()
 
 
 def test_blocked_log_abs_p_on_2d_grid_and_on_a_root():
@@ -195,5 +203,47 @@ def test_blocked_log_abs_p_on_2d_grid_and_on_a_root():
     z[3, 123] = roots[5]
     vals = log_abs_p(poly, z)
     assert vals.shape == z.shape and vals[3, 123] == -np.inf
-    assert np.array_equal(vals, log_modulus(z[..., None] - roots))
-    assert log_abs_p(poly, z[0, 0]) == log_modulus(z[0, 0] - roots)
+    assert np.array_equal(vals, reference_sums(z[..., None] - roots)[3])
+    assert log_abs_p(poly, z[0, 0]) == reference_sums(z[0, 0] - roots)[3]
+
+
+def test_sums_agree_with_complex_division():
+    # 1/d as conj(d)/|d|^2 against numpy's complex division (Smith's
+    # algorithm), within 4 eps of the sum of the moduli of the terms, on
+    # random points and on points 1e-12 from a root
+    eps = np.finfo(float).eps
+    for n in (5, 100, 800):
+        roots = sample_disc_array(derive_substream(25, n), n)
+        near = roots[:50] + 1e-12 * np.exp(2j * np.pi * np.arange(min(n, 50)) / 50)
+        z = np.concatenate([1.3 * sample_disc_array(derive_substream(26, n), 200), near])
+        inv = 1.0 / (z[:, None] - roots)
+        s, r = pair_sums(z, roots, "S", "R")
+        assert np.all(np.abs(s - inv.sum(axis=1)) <= 4 * eps * np.abs(inv).sum(axis=1))
+        assert np.all(np.abs(r - (inv * inv).sum(axis=1))
+                      <= 4 * eps * (np.abs(inv) ** 2).sum(axis=1))
+
+
+def test_sums_against_extended_precision():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    eps = np.finfo(float).eps
+    roots = sample_disc_array(derive_substream(27, 0), 60)
+    z = np.array([0.3 - 0.2j, 1.1j, -0.95 + 0.1j, roots[7] + 1e-12j])
+    s, r = pair_sums(z, roots, "S", "R")
+    for zi, si, ri in zip(z, s, r):
+        terms = [1 / (mpmath.mpc(zi) - mpmath.mpc(x)) for x in roots]
+        exact_s, exact_r = mpmath.fsum(terms), mpmath.fsum(t * t for t in terms)
+        scale = float(mpmath.fsum(abs(t) for t in terms))
+        assert abs(complex(exact_s) - si) <= 4 * eps * scale
+        assert abs(complex(exact_r) - ri) <= 4 * eps * scale**2
+
+
+def test_coincident_or_underflowing_difference_gives_nonfinite_sums():
+    # q = |d|^2 is 0 or subnormal below about 1e-154, so 1/q is inf
+    roots = np.array([0.0, 0.5 + 0.25j, -0.3 + 0.1j])
+    for gap in (0.0, 1e-160, 1e-155, 1e-155j):
+        dmin, s, r = pair_sums(np.array([gap], np.complex128), roots, "dmin", "S", "R")
+        assert not np.isfinite(s[0]) and not np.isfinite(r[0])
+        assert dmin[0] < 1e-154
+    (s,) = pair_sums(np.array([1e-150j]), roots, "S")
+    assert s[0] == pytest.approx(-1e150j, rel=1e-15)

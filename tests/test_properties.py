@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from lemlab.analytic import phi
 from lemlab.heavytail import cdf_y_tail, single_jump_prediction, tail_law
-from lemlab.polyeval import RootedPolynomial, recip_sums
+from lemlab.polyeval import RootedPolynomial, pair_sums
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -35,8 +35,9 @@ def test_skip_additivity_property(roots, rad, ang, j_raw):
     poly = RootedPolynomial(roots)
     j = j_raw % poly.n
     z = rad * math.e ** (2j * math.pi * ang)
-    s_rest, r_rest = recip_sums(z - np.delete(poly.roots, [j]))
-    rhs, rr = recip_sums(z - poly.roots)
+    at = np.array([z])
+    (s_rest,), (r_rest,) = pair_sums(at, np.delete(poly.roots, [j]), "S", "R")
+    (rhs,), (rr,) = pair_sums(at, poly.roots, "S", "R")
     lhs = s_rest + 1.0 / (z - poly.roots[j])
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
     lr = r_rest + 1.0 / (z - poly.roots[j]) ** 2
