@@ -10,15 +10,20 @@ quadrature
 
     (1/pi) int_0^1 int_0^{2pi} g(log|r - rho e^{i theta}|) rho dtheta drho,
 
-which is the authoritative definition here.  The second moment is
-additionally validated, on every evaluation, against the independent
-form
+which is the authoritative definition here.  Each quadrature panel is
+one array expression over its nodes.  The second moment is checked, on
+every evaluation, against its closed form
 
-    int_0^1 2 rho [ (log max(r, rho))^2 + Li2((min/max)^2)/2 ] drho,
+    E[(log|r - X|)^2] = 1/2 - r^2 + Li2(r^2)/2 - w log(w)/2,
 
-obtained by expanding log|1 - m e^{i theta}| in its cosine series and
-integrating term by term.  Each quadrature panel is one array
-expression over its nodes.
+with w = 1 - r^2 and w log w = 0 at r = 1.  Expanding log|1 - m e^{i theta}|
+in its cosine series gives the angular average, and with it the integral
+int_0^1 2 rho [ (log max(r, rho))^2 + Li2((min/max)^2)/2 ] drho.  Its
+log^2 part is 1/2 + r^2 log r - r^2/2.  Its Li2 part over rho < r is
+r^2 (zeta(2) - 1)/2, since int_0^1 Li2 = zeta(2) - 1.  Over rho > r the
+substitution s = r^2/rho^2 and two integrations by parts turn it into
+Li2(r^2)/2 - r^2 zeta(2)/2 - r^2 log r - w log(w)/2.  The sum is 1/2 at
+r = 0 and (zeta(2) - 1)/2 at r = 1.
 
 sigma(r) and gamma3(r) are analytic on [0, 1], so the area prediction,
 which needs them at hundreds of radii per call, reads them from a
@@ -42,14 +47,15 @@ ZETA2 = math.pi * math.pi / 6.0
 SIGMA_TOL = 5e-10
 #: absolute accuracy demanded of the polar third-moment quadrature
 GAMMA3_TOL = 1e-8
-#: required agreement between the polar and cosine-series second moments
-CROSS_CHECK_TOL = 1e-6
+#: required agreement between the polar and closed-form second moments;
+#: the form is exact, so this bounds the polar quadrature's own error
+CROSS_CHECK_TOL = 2.0 * SIGMA_TOL
 #: absolute accuracy demanded of the edgeworth_area integral
 AREA_TOL = 1e-8
 
 
 class MomentMismatchError(RuntimeError):
-    """Polar and cosine-series second moments disagree beyond tolerance."""
+    """Polar and closed-form second moments disagree beyond tolerance."""
 
 
 @dataclass(frozen=True)
@@ -130,16 +136,6 @@ def _theta_rule():
     return np.sin(0.5 * nodes) ** 2, weights
 
 
-def _split_at(f, r, tol):
-    """int_0^1 f, split at the kink rho = r when 0 < r < 1."""
-    if 0.0 < r < 1.0:
-        va, _ = adaptive_gauss(f, 0.0, r, 0.5 * tol)
-        vb, _ = adaptive_gauss(f, r, 1.0, 0.5 * tol)
-        return va + vb
-    value, _ = adaptive_gauss(f, 0.0, 1.0, tol)
-    return value
-
-
 def _polar_central_moments(r):
     """(second, third) central moments of log|r - X| by polar quadrature.
 
@@ -158,22 +154,21 @@ def _polar_central_moments(r):
         scale = 2.0 * rho / math.pi
         return np.stack((scale * (t2 @ weights), scale * ((t2 * t) @ weights)))
 
-    m2, m3 = _split_at(outer, r, np.array([SIGMA_TOL, GAMMA3_TOL]))
+    tol = np.array([SIGMA_TOL, GAMMA3_TOL])
+    if 0.0 < r < 1.0:  # split at the kink rho = r
+        va, _ = adaptive_gauss(outer, 0.0, r, 0.5 * tol)
+        vb, _ = adaptive_gauss(outer, r, 1.0, 0.5 * tol)
+        m2, m3 = va + vb
+    else:
+        (m2, m3), _ = adaptive_gauss(outer, 0.0, 1.0, tol)
     return float(m2), float(m3)
 
 
-def _cosine_series_second_raw(r):
-    """E[(log|r - X|)^2] from the term-by-term cosine-series form."""
-
-    def f(rho):
-        mx = np.maximum(r, rho)
-        mn = np.minimum(r, rho)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lm = np.where(mx > 0, np.log(np.where(mx > 0, mx, 1.0)), 0.0)
-            ratio = np.where(mx > 0, mn / np.where(mx > 0, mx, 1.0), 0.0)
-        return 2.0 * rho * (lm * lm + 0.5 * dilog(ratio * ratio))
-
-    return _split_at(f, r, 1e-9)
+def _second_raw_closed(r):
+    """E[(log|r - X|)^2] in closed form (see the module docstring)."""
+    w = (1.0 - r) * (1.0 + r)
+    w_log_w = w * math.log(w) if w > 0.0 else 0.0
+    return 0.5 - r * r + 0.5 * dilog(r * r) - 0.5 * w_log_w
 
 
 @lru_cache(maxsize=200_000)
@@ -181,11 +176,11 @@ def _moment_triple(r):
     u = mean_log_dist(r)
     m2c, m3c = _polar_central_moments(r)
     raw2_polar = m2c + u * u
-    raw2_series = _cosine_series_second_raw(r)
-    if abs(raw2_polar - raw2_series) > CROSS_CHECK_TOL:
+    raw2_closed = _second_raw_closed(r)
+    if abs(raw2_polar - raw2_closed) > CROSS_CHECK_TOL:
         raise MomentMismatchError(
-            "second moment of log|%g - X|: polar %r vs series %r"
-            % (r, raw2_polar, raw2_series)
+            "second moment of log|%g - X|: polar %r vs closed form %r"
+            % (r, raw2_polar, raw2_closed)
         )
     return u, math.sqrt(m2c), m3c
 

@@ -39,7 +39,7 @@ def annulus_inner_radius(n, kappa):
     """1 - kappa*sqrt(log n / n); may be <= 0 (annulus covers the disc)."""
     if n < 1:
         raise ValueError("n >= 1 required")
-    if kappa <= 0:
+    if not kappa > 0:
         raise ValueError("kappa > 0 required")
     return 1.0 - kappa * np.sqrt(np.log(n) / n) if n > 1 else 1.0
 

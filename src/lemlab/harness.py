@@ -25,6 +25,7 @@ from .analytic import limit_constant
 from .components import annulus_inner_radius, area_outside_mc, count_components, inradius_holds
 from .critical import RootCollisionError, find_critical_points
 from .polyeval import RootedPolynomial
+from .raster import MAX_PIXELS
 from .rng import derive_substream, sample_disc_array
 
 CSV_HEADER = (
@@ -76,6 +77,7 @@ class ExperimentConfig:
             (self.kappa > 0, "kappa > 0"),
             (self.threads >= 0, "threads >= 0"),
             (self.resolution >= 64, "resolution >= 64"),
+            (self.resolution**2 <= MAX_PIXELS, "resolution^2 <= %d" % MAX_PIXELS),
             (self.bound > 1.0, "bound > 1"),
             (self.eps > 0, "eps > 0"),
             (self.grid >= 256, "grid >= 256"),

@@ -111,6 +111,43 @@ def test_interpolant_agrees_with_quadrature():
     assert an._sigma_gamma_interp(0.0) == (sig[-1], gam[-1])
 
 
+def _series_second_raw(r):
+    # E[(log|r - X|)^2] as mpmath quadrature of the cosine-series integrand
+    with mpmath.workdps(30):
+        r = mpmath.mpf(r)
+
+        def f(rho):
+            mx, mn = max(r, rho), min(r, rho)
+            if mx == 0:
+                return mpmath.mpf(0)
+            return 2 * rho * (mpmath.log(mx) ** 2 + mpmath.polylog(2, (mn / mx) ** 2) / 2)
+
+        return float(mpmath.quad(f, [0, r, 1] if 0 < r < 1 else [0, 1]))
+
+
+def test_second_moment_closed_form_against_series_quadrature():
+    for r in (0.0, 1e-12, 0.005, 0.3, 0.7, 0.95, 1.0 - 1e-12, 1.0):
+        assert abs(an._second_raw_closed(r) - _series_second_raw(r)) < 1e-14, r
+    assert an._second_raw_closed(0.0) == 0.5
+    assert an._second_raw_closed(1.0) == pytest.approx((an.ZETA2 - 1.0) / 2.0, abs=1e-15)
+
+
+def test_second_moment_mismatch_raises(monkeypatch):
+    polar = an._polar_central_moments
+
+    def off(r):
+        m2, m3 = polar(r)
+        return m2 + 10.0 * an.CROSS_CHECK_TOL, m3
+
+    monkeypatch.setattr(an, "_polar_central_moments", off)
+    an._moment_triple.cache_clear()
+    try:
+        with pytest.raises(an.MomentMismatchError):
+            an.moments_log_dist(0.7)
+    finally:
+        an._moment_triple.cache_clear()
+
+
 def test_moments_domain():
     with pytest.raises(ValueError):
         an.moments_log_dist(-0.1)

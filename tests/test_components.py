@@ -77,6 +77,17 @@ def test_tiny_kappa_counts_nothing():
     assert count_components(poly, crit, 1e-9).components_annulus == 1
 
 
+def test_nan_or_nonpositive_kappa_rejected():
+    poly, crit = _solved(303, 8)
+    for kappa in (math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError):
+            annulus_inner_radius(100, kappa)
+        with pytest.raises(ValueError):
+            count_components(poly, crit, kappa)
+        with pytest.raises(ValueError):
+            inradius_holds(poly, kappa)
+
+
 def test_ambiguity_flagging_on_exact_tie():
     # roots {1, -1}: the critical point is 0 and |P(0)| = 1 exactly
     poly = RootedPolynomial([1.0, -1.0])

@@ -22,6 +22,7 @@ from lemlab.harness import (
     run_trial,
     summarize,
 )
+from lemlab.raster import MAX_PIXELS
 
 
 def test_pooled_variance_hand_value():
@@ -62,6 +63,10 @@ def test_config_validation():
         ExperimentConfig(kappa=-1.0).validate()
     with pytest.raises(ConfigError):
         ExperimentConfig(command="scaling", n_list=(100,)).validate()
+    side = math.isqrt(MAX_PIXELS)  # the largest square grid under the cap
+    with pytest.raises(ConfigError):
+        ExperimentConfig(resolution=side + 1).validate()
+    ExperimentConfig(resolution=side).validate()
     ExperimentConfig().validate()
 
 
@@ -208,6 +213,11 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     for command, name in (("simulate", "x.csv"), ("raster", "x.ppm")):
         assert main([command, "--out", str(missing / name)], out=io.StringIO()) == 2
         assert capsys.readouterr().err.startswith("config error:")
+    # ... and so is a raster grid over raster.MAX_PIXELS, before --out is made
+    ppm = tmp_path / "p.ppm"
+    assert main(["raster", "--res", "16384", "--out", str(ppm)], out=io.StringIO()) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not ppm.exists()
     assert ran == []
     # commands that write no file take no --out
     for command in ("area", "heavytail", "kacrice"):

@@ -167,6 +167,12 @@ def test_event_estimators_need_three_roots():
             estimate(2, 1.0, 100, derive_substream(67, 1))
 
 
+def test_event_estimators_reject_nan_kappa():
+    for estimate in (estimate_p_on, estimate_p_on_and_mn, estimate_t0):
+        with pytest.raises(ValueError):
+            estimate(10, math.nan, 100, derive_substream(67, 2))
+
+
 def test_sqrt_n_p_on_trend_toward_limit():
     # sqrt(n) P(O) creeps toward sqrt(2/pi) sigma(1); assert only that
     # n=400 sits closer than n=50
