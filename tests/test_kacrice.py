@@ -11,13 +11,13 @@ from lemlab.critical import find_critical_points
 from lemlab import kacrice
 from lemlab.kacrice import (
     _draw_x0_and_rest,
-    _event_batch,
+    _in_event,
     epsilon_count,
     estimate_p_on,
     estimate_p_on_and_mn,
     estimate_t0,
 )
-from lemlab.polyeval import RootedPolynomial
+from lemlab.polyeval import RootedPolynomial, pair_sums
 from lemlab.rng import derive_substream, sample_disc_array
 
 DISC_BOX = (-1.02, 1.02, -1.02, 1.02)
@@ -124,21 +124,29 @@ def test_conditional_identity_by_quadrature():
     assert checked == 3
 
 
+def _event_sample(stream, count):
+    """`count` draws of X_0 and 5 roots with the event O at n = 6, kappa = 1."""
+    x0, rest, _, s, log_q = _draw_x0_and_rest(stream, count, 5, "log")
+    in_event, log_s = _in_event(6, 1.0, x0, s, log_q)
+    mod0 = np.abs(x0)
+    in_annulus = (mod0 > annulus_inner_radius(6, 1.0)) & (mod0 < 1.0)
+    return x0, rest, s, log_q, log_s, in_event, in_annulus
+
+
 def test_event_implies_annulus_and_inversion_constraint():
-    b = _event_batch(6, 1.0, derive_substream(64, 0), 50_000)
-    ev = b["in_event"]
+    x0, _, s, log_q, log_s, ev, in_annulus = _event_sample(derive_substream(64, 0), 50_000)
     assert ev.any()
-    assert b["in_annulus"][ev].all()
-    assert (b["log_s"][ev] < b["log_q"][ev]).all()
-    assert (np.abs(b["x0"][ev] + 1.0 / b["s"][ev]) < 1.0).all()
+    assert in_annulus[ev].all()
+    assert (log_s[ev] < log_q[ev]).all()
+    assert (np.abs(x0[ev] + 1.0 / s[ev]) < 1.0).all()
 
 
 def test_event_rotation_invariance():
     # rotating all points by a common phase leaves every indicator alone
-    b = _event_batch(6, 1.0, derive_substream(65, 0), 20_000)
+    x0, rest, _, _, _, in_event, _ = _event_sample(derive_substream(65, 0), 20_000)
     rot = np.exp(1j * 0.7)
-    x0 = b["x0"] * rot
-    rest = b["rest"] * rot
+    x0 = x0 * rot
+    rest = rest * rot
     diff = x0[:, None] - rest
     s = (1.0 / diff).sum(axis=1)
     log_q = np.log(np.abs(diff)).sum(axis=1)
@@ -147,7 +155,7 @@ def test_event_rotation_invariance():
     ev = (mod0 > inner) & (mod0 < 1.0)
     ev &= np.log(np.abs(s)) < log_q
     ev &= np.abs(x0 + 1.0 / s) < 1.0
-    assert np.array_equal(ev, b["in_event"])
+    assert np.array_equal(ev, in_event)
 
 
 def test_identity_small_run():
@@ -157,8 +165,23 @@ def test_identity_small_run():
     z = abs(est.p_on - est.m_n) / est.diff_se
     assert z < 4.0
     # the annulus event bounds the full event
-    b = _event_batch(6, 1.0, derive_substream(66, 1), 100_000)
-    assert b["in_event"].sum() <= b["in_annulus"].sum()
+    *_, in_event, in_annulus = _event_sample(derive_substream(66, 1), 100_000)
+    assert in_event.sum() <= in_annulus.sum()
+
+
+def test_event_estimators_request_only_the_sums_they_read(monkeypatch):
+    requested = []
+
+    def spy(z, x, *names, **kwargs):
+        requested.append(names)
+        return pair_sums(z, x, *names, **kwargs)
+
+    monkeypatch.setattr(kacrice, "pair_sums", spy)
+    estimate_p_on(10, 2.0, 500, derive_substream(70, 0))
+    assert {tuple(sorted(names)) for names in requested} == {("S", "log")}
+    requested.clear()
+    estimate_t0(10, 2.0, 500, derive_substream(70, 1))
+    assert {tuple(sorted(names)) for names in requested} == {("R", "S", "log")}
 
 
 def test_event_estimators_need_three_roots():
