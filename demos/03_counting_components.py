@@ -15,7 +15,6 @@ from lemlab import (
     derive_substream,
     find_critical_points,
     mask_component_stats,
-    pairing_distances,
     rasterize,
     sample_disc_array,
 )
@@ -30,7 +29,7 @@ print("solver: %d critical points in %d sweeps, max residual %.2e"
 print("all inside the closed disc: %s (Gauss-Lucas)"
       % bool(np.abs(crit.points).max() <= 1 + 1e-9))
 
-dist = pairing_distances(poly, crit)
+dist = np.sort(crit.dmin)
 print("pairing: median distance to nearest root %.4f vs typical spacing %.4f"
       % (np.median(dist), 1 / np.sqrt(n)))
 

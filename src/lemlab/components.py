@@ -45,7 +45,7 @@ def annulus_inner_radius(n, kappa):
 
 
 def count_components(poly, crit, kappa=2.0):
-    """Exact component count from critical values, as a ComponentReport.
+    """Exact component count from `crit.log_values`, as a ComponentReport.
 
     Requires a converged CriticalSet.  Strict comparison at 0 on the log
     scale; ties have probability zero, but values within AMBIGUITY_TOL of
@@ -53,7 +53,7 @@ def count_components(poly, crit, kappa=2.0):
     """
     if not crit.converged:
         raise ValueError("count_components requires a converged CriticalSet")
-    vals = log_abs_p(poly, crit.points)
+    vals = crit.log_values
     outside = vals > 0.0
     n_out = int(outside.sum())
     mods = np.abs(crit.points)

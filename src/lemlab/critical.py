@@ -52,13 +52,17 @@ class RootCollisionError(RuntimeError):
 
 @dataclass
 class CriticalSet:
-    """The n-1 critical points with per-point convergence diagnostics.
+    """The n-1 critical points with per-point values and diagnostics.
 
-    `pairs` counts the point-root and point-iterate pairs that the
-    solve's root-sum passes evaluated.
+    `dmin` is each point's distance to its nearest root and `log_values`
+    its critical value log|P(beta)|, both from the solve's last root-sum
+    pass, which also gives the residuals.  `pairs` counts the point-root
+    and point-iterate pairs that the solve's root-sum passes evaluated.
     """
 
     points: np.ndarray
+    dmin: np.ndarray
+    log_values: np.ndarray
     residuals: np.ndarray
     iterations: int
     converged: bool
@@ -87,6 +91,8 @@ def find_critical_points(poly, max_iters=120, stream=None):
     if n < 2:
         return CriticalSet(
             points=np.empty(0, dtype=np.complex128),
+            dmin=np.empty(0),
+            log_values=np.empty(0),
             residuals=np.empty(0),
             iterations=0,
             converged=True,
@@ -161,12 +167,12 @@ def find_critical_points(poly, max_iters=120, stream=None):
         prev_step[idx] = aw
         active[idx[done]] = False
 
-    dmin, S = pair_sums(z, roots, "dmin", "S")
+    dmin, S, log_values = pair_sums(z, roots, "dmin", "S", "log")
     pairs += m * n
     residuals = np.abs(S) * dmin
     converged = bool(np.all(residuals < RESIDUAL_TOL)) and not active.any()
-    crit = CriticalSet(points=z, residuals=residuals, iterations=sweeps,
-                       converged=converged, pairs=pairs)
+    crit = CriticalSet(points=z, dmin=dmin, log_values=log_values, residuals=residuals,
+                       iterations=sweeps, converged=converged, pairs=pairs)
     if converged:
         _validate(crit)
     return crit
@@ -181,11 +187,3 @@ def _validate(crit):
         return
     if np.abs(pts).max(initial=0.0) > 1.0 + DISC_SLACK:
         crit.converged = False
-
-
-def pairing_distances(poly, crit):
-    """Distance from each critical point to its nearest root, ascending."""
-    if not crit.converged:
-        raise ValueError("pairing_distances requires a converged CriticalSet")
-    (d,) = pair_sums(crit.points, poly.roots, "dmin")
-    return np.sort(d)

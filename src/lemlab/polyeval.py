@@ -29,7 +29,7 @@ treats any difference below its collision tolerance, 1e-14, as a
 collision.  Negation is exact, so the conjugate of an m-long sum is bit
 for bit the sum of the conjugates, and it is taken once per output, not
 once per pair.  A skipped pair has q = inf: it adds d * 0 = 0 to S and
-R and drops out of the minimum.
+R and drops out of the minimum, and its log is set to 0.
 
 `pair_sums` takes the points in row blocks of BLOCK_PAIRS // n rows
 (one row when n exceeds BLOCK_PAIRS) and writes each block's
@@ -128,7 +128,7 @@ def pair_sums(z, x, *names, skip=None):
     "S" = sum_k 1/(z_i - x_ik), "R" = sum_k 1/(z_i - x_ik)^2 and
     "log" = sum_k log|z_i - x_ik|, each from q = |d|^2 as the module
     docstring sets out.  With `skip` (one column per row), the pair
-    (i, skip[i]) adds 0 to S and R and drops out of dmin.
+    (i, skip[i]) adds 0 to S, R and log and drops out of dmin.
 
     No coincidence guard: a difference below about 1e-154 in modulus,
     zero included, gives a non-finite S and R.  The solver's collision
@@ -151,11 +151,15 @@ def pair_sums(z, x, *names, skip=None):
             b = np.square(d.imag, out=fwork[k:2 * k].reshape(d.shape))
             q += b
             if skip is not None:
-                q[row[:hi - lo], skip[lo:hi]] = np.inf
+                at = row[:hi - lo], skip[lo:hi]
+                q[at] = np.inf
             if dmin is not None:
                 np.minimum.reduce(q, axis=1, out=dmin[lo:hi])
             if log is not None:
-                np.add.reduce(np.log(q, out=b), axis=1, out=log[lo:hi])
+                np.log(q, out=b)
+                if skip is not None:
+                    b[at] = 0.0
+                np.add.reduce(b, axis=1, out=log[lo:hi])
             if S is not None or R is not None:
                 np.multiply(d, np.reciprocal(q, out=q), out=d)
                 if S is not None:

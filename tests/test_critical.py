@@ -5,15 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
-from lemlab import critical
-from lemlab.components import count_components
-from lemlab.critical import (
-    SEPARATION_TOL,
-    CriticalSet,
-    _validate,
-    find_critical_points,
-    pairing_distances,
-)
+from lemlab import critical, polyeval
+from lemlab.components import INRADIUS_PROBES, count_components
+from lemlab.critical import SEPARATION_TOL, CriticalSet, _validate, find_critical_points
+from lemlab.harness import ExperimentConfig, run_trial
 from lemlab.polyeval import RootedPolynomial, log_abs_p, pair_sums
 from lemlab.rng import derive_substream, sample_disc_array
 
@@ -118,14 +113,14 @@ def test_pairing_median_beats_root_spacing():
     stream = derive_substream(24, 0)
     poly = RootedPolynomial(sample_disc_array(stream, n))
     crit = find_critical_points(poly, stream=stream)
-    dist = pairing_distances(poly, crit)
+    dist = np.sort(crit.dmin)
     assert np.median(dist) < 1.0 / np.sqrt(n)
 
 
 def test_pairing_two_roots_and_positivity():
     poly = RootedPolynomial([0.3, -0.3])
     crit = find_critical_points(poly)
-    dist = pairing_distances(poly, crit)
+    dist = np.sort(crit.dmin)
     assert dist[0] == pytest.approx(0.3, abs=1e-12)
     assert np.all(dist > 0)
     assert np.all(np.diff(dist) >= 0)
@@ -138,7 +133,7 @@ def test_pairing_tail_regression_n_1000():
     stream = derive_substream(25, 0)
     poly = RootedPolynomial(sample_disc_array(stream, n))
     crit = find_critical_points(poly, stream=stream)
-    dist = pairing_distances(poly, crit)
+    dist = np.sort(crit.dmin)
     assert np.quantile(dist, 0.95) < 5.0 * n ** (-0.75)
 
 
@@ -181,8 +176,9 @@ def test_requires_two_roots():
 
 def test_validate_separation_is_strict():
     def validated(gap):
-        crit = CriticalSet(points=np.array([0.3j, 0.0, gap, -0.4]),
-                           residuals=np.zeros(4), iterations=1, converged=True)
+        crit = CriticalSet(points=np.array([0.3j, 0.0, gap, -0.4]), dmin=np.ones(4),
+                           log_values=np.ones(4), residuals=np.zeros(4), iterations=1,
+                           converged=True)
         _validate(crit)
         return crit.converged
 
@@ -247,6 +243,27 @@ def test_pairs_counts_every_root_sum_pass(monkeypatch):
         assert crit.converged and crit.pairs == sum(passes)
         assert len(passes) == 2 + 2 * crit.iterations
     assert find_critical_points(RootedPolynomial([0.1])).pairs == 0
+
+    # a whole trial: after the solve, the inradius probe and the area
+    # Monte Carlo are the only passes; the count reads the solver's values
+    monkeypatch.setattr(polyeval, "pair_sums", spy)
+    cfg = ExperimentConfig(area_samples=256)
+    for n in (12, 150):
+        passes.clear()
+        cfg.n = n
+        _, _, crit = run_trial(cfg, 0)
+        solve = len(passes) - 2
+        assert solve == 2 + 2 * crit.iterations and sum(passes[:solve]) == crit.pairs
+        assert passes[solve:] == [INRADIUS_PROBES * n, cfg.area_samples * n]
+
+    # the last pass's values are those of a pass of their own, bit for
+    # bit, in one row block (n = 2, 12) and in three (300) or twenty (800)
+    for n in (2, 12, 300, 800):
+        poly = RootedPolynomial(sample_disc_array(derive_substream(35, n), n))
+        crit = find_critical_points(poly, stream=derive_substream(36, n))
+        assert crit.converged
+        assert np.array_equal(crit.log_values, log_abs_p(poly, crit.points))
+        assert np.array_equal(crit.dmin, pair_sums(crit.points, poly.roots, "dmin")[0])
 
 
 def test_iterates_started_on_roots_leave_them(monkeypatch):

@@ -196,6 +196,19 @@ def test_blocked_pass_equals_one_shot_kernels_bitwise(n):
     assert np.isfinite(s).all()
 
 
+@pytest.mark.parametrize("n", [12, 300])
+def test_skipped_pair_adds_zero_to_the_log_sum(n):
+    # with the self-pairs skipped, "log" is log|Q_k(x_k)| for
+    # Q_k = P / (z - x_k), in one row block (n = 12) and in three (300),
+    # and asking for it moves no bit of dmin, S or R
+    x = sample_disc_array(derive_substream(28, n), n)
+    skip = np.arange(n)
+    dmin, s, r, log = pair_sums(x, x, "dmin", "S", "R", "log", skip=skip)
+    ref = np.array([log_q(x, x[k], k) for k in range(n)])
+    assert np.abs(log - ref).max() <= 1e-12
+    assert all(map(np.array_equal, pair_sums(x, x, "dmin", "S", "R", skip=skip), (dmin, s, r)))
+
+
 def test_blocked_log_abs_p_on_2d_grid_and_on_a_root():
     roots = sample_disc_array(derive_substream(23, 0), 37)
     poly = RootedPolynomial(roots)
