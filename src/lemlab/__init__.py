@@ -22,7 +22,7 @@ from .components import (
     count_components,
     inradius_holds,
 )
-from .critical import RootCollisionError, find_critical_points
+from .critical import find_critical_points
 from .harness import (
     ExperimentConfig,
     run_scaling,

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polyeval import close_pair, pair_sums
-from .rng import RngStream
 
 #: iterate update below this (relative) size counts as converged
 SWEEP_TOL = 1e-12
@@ -40,14 +39,8 @@ RESIDUAL_TOL = 1e-10
 DISC_SLACK = 1e-9
 #: minimum pairwise separation of reported points
 SEPARATION_TOL = 1e-12
-#: iterate-on-root detection distance
-COLLISION_TOL = 1e-14
-
-MAX_RESTARTS = 5
-
-
-class RootCollisionError(RuntimeError):
-    """An iterate kept landing on a root of P even after restarts."""
+#: sweeps before a solve that has not converged gives up
+MAX_SWEEPS = 120
 
 
 @dataclass
@@ -78,13 +71,13 @@ def _nudge(roots, gaps, idx, stream):
     return roots[idx] + 1e-3 * gaps[idx] * np.exp(1j * angles)
 
 
-def find_critical_points(poly, max_iters=120, stream=None):
+def find_critical_points(poly, stream):
     """All n-1 zeros of Sfull via the collective Aberth iteration.
 
-    Returns a CriticalSet; converged=False (with partial diagnostics)
-    when some residual still exceeds RESIDUAL_TOL after `max_iters` sweeps.
-    Raises RootCollisionError if an iterate sits on a root of P for three
-    consecutive sweeps and five perturbed restarts do not cure it.
+    `stream` supplies the n-1 start angles.  Returns a CriticalSet, and
+    never raises on a hard solve: converged=False (with partial
+    diagnostics) when an iterate is still moving after MAX_SWEEPS sweeps
+    or some residual exceeds RESIDUAL_TOL.
     """
     roots = poly.roots
     n = poly.n
@@ -97,8 +90,6 @@ def find_critical_points(poly, max_iters=120, stream=None):
             iterations=0,
             converged=True,
         )
-    if stream is None:
-        stream = RngStream(0, 0)
     # root gaps and S_rest(x_k) = sum_{j != k} 1/(x_k - x_j)
     gaps, s_rest = pair_sums(roots, roots, "dmin", "S", skip=np.arange(n))
     pairs = n * n
@@ -108,11 +99,9 @@ def find_critical_points(poly, max_iters=120, stream=None):
     z[paired] = roots[paired] - 1.0 / s_rest[paired]
     active = np.ones(m, dtype=bool)
     prev_step = np.zeros(m)  # |w| of the last sweep; 0 before the first
-    collide_streak = np.zeros(m, dtype=np.int64)
-    restarts = np.zeros(m, dtype=np.int64)
     sweeps = 0
 
-    for _ in range(max_iters):
+    for _ in range(MAX_SWEEPS):
         idx = np.flatnonzero(active)
         if not idx.size:
             break
@@ -120,33 +109,13 @@ def find_critical_points(poly, max_iters=120, stream=None):
         za = z[idx]
         dmin, S, R = pair_sums(za, roots, "dmin", "S", "R")
         pairs += idx.size * n
-
-        hit = dmin < COLLISION_TOL
-        if hit.any():
-            collide_streak[idx[hit]] += 1
-            collide_streak[idx[~hit]] = 0
-            bad = collide_streak[idx] >= 3
-            if bad.any():
-                which = idx[bad]
-                if np.any(restarts[which] + 1 > MAX_RESTARTS):
-                    raise RootCollisionError(
-                        "iterate stuck on a root after %d restarts" % MAX_RESTARTS
-                    )
-                restarts[which] += 1
-                prev_step[which] = 0.0
-                near = np.argmin(np.abs(z[which][:, None] - roots[None, :]), axis=1)
-                z[which] = _nudge(roots, gaps, near, stream)
-                collide_streak[which] = 0
-                continue
-        else:
-            collide_streak[idx] = 0
-
         (A,) = pair_sums(za, z, "S", skip=idx)  # sum_{j != i} 1/(z_i - z_j)
         pairs += idx.size * m
         with np.errstate(divide="ignore", invalid="ignore"):
             N = S / (S * S - R)
             w = N / (1.0 - N * A)
-        # guard rare degenerate denominators: fall back to a bounded step
+        # an iterate on a root has non-finite S and R there, so w is not
+        # finite; this bounded step moves it off the root
         badw = ~np.isfinite(w)
         if badw.any():
             w = np.where(badw, 0.05 * np.exp(1j * 0.7) * (dmin + 1e-6), w)

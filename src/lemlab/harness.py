@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 from .analytic import limit_constant
 from .components import annulus_inner_radius, area_outside_mc, count_components, inradius_holds
-from .critical import RootCollisionError, find_critical_points
+from .critical import find_critical_points
 from .polyeval import RootedPolynomial
 from .raster import MAX_PIXELS
 from .rng import derive_substream, sample_disc_array
@@ -176,12 +176,7 @@ def run_trial(config, trial_index, stream_base=0):
     roots = sample_disc_array(stream, n)
     poly = RootedPolynomial(roots)
     rec = TrialRecord(trial_index=trial_index, n=n)
-    try:
-        crit = find_critical_points(poly, stream=stream)
-    except RootCollisionError as exc:
-        rec.failed = True
-        rec.fail_reason = "root-collision: %s" % exc
-        return rec, poly, None
+    crit = find_critical_points(poly, stream=stream)
     if not crit.converged:
         rec.failed = True
         rec.fail_reason = "solver did not converge (max residual %g)" % crit.residuals.max()

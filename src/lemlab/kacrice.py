@@ -164,7 +164,7 @@ def _draw_x0_and_rest(stream, count, m, *names):
 
     A draw whose reciprocal sum S(X_0) over the m roots is zero or not
     finite is degenerate and is redrawn whole (X_0 first, then its m
-    roots).  Returns (x0, rest, degenerate, S, ...): `degenerate` is the
+    roots).  Returns (x0, degenerate, S, ...): `degenerate` is the
     number of redraws, followed by S and the `pair_sums` of X_0 against
     its roots for each further name.
     """
@@ -176,7 +176,7 @@ def _draw_x0_and_rest(stream, count, m, *names):
         s = sums[0]
         bad = (s == 0) | ~np.isfinite(s)
         if not bad.any():
-            return (x0, rest, degenerate) + sums
+            return (x0, degenerate) + sums
         nb = int(bad.sum())
         degenerate += nb
         x0[bad] = sample_disc_array(stream, nb)
@@ -196,7 +196,7 @@ def _in_event(n, kappa, x0, s, log_q):
 def _event_chunks(n, kappa, trials, stream, *names):
     """Per chunk of `trials` draws: (in_event, degenerate, S, *names' sums)."""
     for k in _chunks(n, trials):
-        x0, _, degenerate, s, log_q, *sums = _draw_x0_and_rest(
+        x0, degenerate, s, log_q, *sums = _draw_x0_and_rest(
             stream, k, n - 1, "log", *names)
         yield (_in_event(n, kappa, x0, s, log_q)[0], degenerate, s, *sums)
 
@@ -241,7 +241,7 @@ def _mn_importance_chunk(n, kappa, stream, k):
     4/alpha, so the estimator's variance (and hence its reported SE) is
     trustworthy at criterion sample sizes.
     """
-    x0, _, degenerate, s_t, log_q_rest = _draw_x0_and_rest(stream, k, n - 2, "log")
+    x0, degenerate, s_t, log_q_rest = _draw_x0_and_rest(stream, k, n - 2, "log")
 
     abs_st = np.abs(s_t)
     xi = x0 + 1.0 / s_t

@@ -24,9 +24,9 @@ log|P| = 0.5 * sum log q.  numpy's complex 1/d follows Smith's algorithm
 overflowing, which needs |d| above about 1e154; the differences formed
 here are at most a few units.  At the other end, q underflows and 1/q
 is inf below about 1e-154, so a difference that small, or zero, gives
-a non-finite S and R; the callers test for that, and the solver already
-treats any difference below its collision tolerance, 1e-14, as a
-collision.  Negation is exact, so the conjugate of an m-long sum is bit
+a non-finite S and R; the callers test for that, and the solver
+replaces the non-finite update it gives with a bounded step off the
+root.  Negation is exact, so the conjugate of an m-long sum is bit
 for bit the sum of the conjugates, and it is taken once per output, not
 once per pair.  A skipped pair has q = inf: it adds d * 0 = 0 to S and
 R and drops out of the minimum, and its log is set to 0.
@@ -131,8 +131,8 @@ def pair_sums(z, x, *names, skip=None):
     (i, skip[i]) adds 0 to S, R and log and drops out of dmin.
 
     No coincidence guard: a difference below about 1e-154 in modulus,
-    zero included, gives a non-finite S and R.  The solver's collision
-    path and the conditioned event's redraw test for it.
+    zero included, gives a non-finite S and R.  The solver's bounded
+    fallback step and the conditioned event's redraw test for it.
     """
     m, n = z.size, x.shape[-1]
     rows = max(1, BLOCK_PAIRS // n)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lemlab import critical
 from lemlab.components import (
     annulus_inner_radius,
     area_outside_mc,
@@ -25,7 +26,7 @@ def _solved(seed, n):
 
 def test_single_root_is_one_component():
     poly = RootedPolynomial([0.4 - 0.2j])
-    crit = find_critical_points(poly)
+    crit = find_critical_points(poly, stream=derive_substream(0, 0))
     rep = count_components(poly, crit)
     assert rep.components == 1
     assert rep.n_crit_outside == 0
@@ -91,16 +92,17 @@ def test_nan_or_nonpositive_kappa_rejected():
 def test_ambiguity_flagging_on_exact_tie():
     # roots {1, -1}: the critical point is 0 and |P(0)| = 1 exactly
     poly = RootedPolynomial([1.0, -1.0])
-    crit = find_critical_points(poly)
+    crit = find_critical_points(poly, stream=derive_substream(0, 0))
     rep = count_components(poly, crit)
     assert rep.n_ambiguous == 1
     assert rep.components == 1  # strict comparison at 0 on the log scale
 
 
-def test_rejects_unconverged_critical_set():
+def test_rejects_unconverged_critical_set(monkeypatch):
     stream = derive_substream(302, 0)
     poly = RootedPolynomial(sample_disc_array(stream, 150))
-    crit = find_critical_points(poly, max_iters=1, stream=stream)
+    monkeypatch.setattr(critical, "MAX_SWEEPS", 1)
+    crit = find_critical_points(poly, stream=stream)
     assert not crit.converged
     with pytest.raises(ValueError):
         count_components(poly, crit)

@@ -7,9 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from lemlab import cli, harness, heavytail
+from lemlab import cli, critical, harness, heavytail
 from lemlab.cli import build_parser, main
-from lemlab.critical import RootCollisionError, find_critical_points
 from lemlab.harness import (
     CSV_HEADER,
     ConfigError,
@@ -166,8 +165,7 @@ def test_failure_sidecar_and_abort(tmp_path, monkeypatch):
     cfg = ExperimentConfig(
         n=150, trials=5, master_seed=3, out_path=str(out), no_timing=True,
     )
-    monkeypatch.setattr(harness, "find_critical_points",
-                        lambda poly, stream: find_critical_points(poly, 1, stream))
+    monkeypatch.setattr(critical, "MAX_SWEEPS", 1)
     with pytest.raises(NumericFailureError):
         run_simulate(cfg, out=io.StringIO())
     sidecar = (str(out) + ".failures")
@@ -181,8 +179,7 @@ def test_clean_run_removes_stale_failure_sidecar(tmp_path, monkeypatch):
         n=150, trials=5, master_seed=3, out_path=str(out), no_timing=True,
     )
     with monkeypatch.context() as m:
-        m.setattr(harness, "find_critical_points",
-                  lambda poly, stream: find_critical_points(poly, 1, stream))
+        m.setattr(critical, "MAX_SWEEPS", 1)
         with pytest.raises(NumericFailureError):
             run_simulate(cfg, out=io.StringIO())
     assert os.path.exists(str(out) + ".failures")
@@ -399,11 +396,10 @@ def test_cli_outputs_pinned_area():
         assert [float(x) for x in fields[4:]] == pytest.approx(pinned, rel=1e-12)
 
 
-def test_cli_raster_root_collision_prints_minus_one(tmp_path, monkeypatch):
-    def collide(poly, stream):
-        raise RootCollisionError("forced")
-
-    monkeypatch.setattr(harness, "find_critical_points", collide)
+def test_cli_raster_solver_failure_prints_minus_one(tmp_path, monkeypatch):
+    # a solve with no sweep does not converge; raster still writes its
+    # image and prints -1 for the critical-value count
+    monkeypatch.setattr(critical, "MAX_SWEEPS", 0)
     buf = io.StringIO()
     assert main(["raster", "--n", "12", "--seed", "7", "--res", "64",
                  "--out", str(tmp_path / "lem.ppm")], out=buf) == 0

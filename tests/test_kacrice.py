@@ -126,11 +126,11 @@ def test_conditional_identity_by_quadrature():
 
 def _event_sample(stream, count):
     """`count` draws of X_0 and 5 roots with the event O at n = 6, kappa = 1."""
-    x0, rest, _, s, log_q = _draw_x0_and_rest(stream, count, 5, "log")
+    x0, degenerate, s, log_q = _draw_x0_and_rest(stream, count, 5, "log")
     in_event, log_s = _in_event(6, 1.0, x0, s, log_q)
     mod0 = np.abs(x0)
     in_annulus = (mod0 > annulus_inner_radius(6, 1.0)) & (mod0 < 1.0)
-    return x0, rest, s, log_q, log_s, in_event, in_annulus
+    return x0, degenerate, s, log_q, log_s, in_event, in_annulus
 
 
 def test_event_implies_annulus_and_inversion_constraint():
@@ -142,8 +142,13 @@ def test_event_implies_annulus_and_inversion_constraint():
 
 
 def test_event_rotation_invariance():
-    # rotating all points by a common phase leaves every indicator alone
-    x0, rest, _, _, _, in_event, _ = _event_sample(derive_substream(65, 0), 20_000)
+    # rotating all points by a common phase leaves every indicator alone;
+    # with no redraw the roots are the stream's next 5 points per draw
+    x0, degenerate, _, _, _, in_event, _ = _event_sample(derive_substream(65, 0), 20_000)
+    assert degenerate == 0
+    replay = derive_substream(65, 0)
+    assert np.array_equal(sample_disc_array(replay, 20_000), x0)
+    rest = sample_disc_array(replay, 5 * 20_000).reshape(20_000, 5)
     rot = np.exp(1j * 0.7)
     x0 = x0 * rot
     rest = rest * rot
@@ -263,7 +268,8 @@ def test_coincident_or_underflowing_draws_are_redrawn(monkeypatch):
         return crafted.pop(0) if crafted else sample_disc_array(stream, count)
 
     monkeypatch.setattr(kacrice, "sample_disc_array", draw)
-    x0, rest, degenerate, s, log_q = _draw_x0_and_rest(derive_substream(68, 0), 3, 2, "log")
+    x0, degenerate, s, log_q = _draw_x0_and_rest(derive_substream(68, 0), 3, 2, "log")
     assert degenerate == 2
     assert np.isfinite(s).all() and np.isfinite(log_q).all()
-    assert x0[2] == 0.25 and np.array_equal(rest[2], [0.6, -0.2])
+    kept = pair_sums(x0[2:], np.array([[0.6, -0.2]], np.complex128), "S", "log")
+    assert x0[2] == 0.25 and s[2] == kept[0][0] and log_q[2] == kept[1][0]
