@@ -5,11 +5,12 @@ area-predict), heavytail, kacrice.  Each flag sets the ExperimentConfig
 field of its name (--seed, --out and --res set master_seed, out_path
 and resolution) and is parsed exactly as that key is in a --config
 file of key=value lines.  Only simulate, scaling and raster, which
-write a file, take --out.  The file supplies defaults; explicit flags
-win.  Seeds are decimal or 0x-prefixed hex.  Exit codes: 0 success, 2
-configuration error (an unwritable --out included, found before any
-trial runs), 3 numeric failure (solver failure rate or a
-violated numeric contract).
+write a file, take --out; only simulate and scaling, which run their
+trials in parallel, take --threads; area, which draws nothing, takes no
+--seed.  The file supplies defaults; explicit flags win.  Seeds are
+decimal or 0x-prefixed hex.  Exit codes: 0 success, 2 configuration
+error (an unwritable --out included, found before any trial runs), 3
+numeric failure (solver failure rate or a violated numeric contract).
 """
 
 from __future__ import annotations
@@ -153,24 +154,24 @@ def cmd_kacrice(cfg, out):
         raise ConfigError("kacrice --mode must be epsint, on-event, or t0")
 
 
-_COMMON = ("master_seed", "threads")
-_WRITES = _COMMON + ("out_path",)  # the commands that write a file
+_WRITES = ("master_seed", "out_path")  # the commands that write a file
+_PARALLEL = _WRITES + ("threads",)  # ... and run their trials in parallel
 
 #: subcommand -> (handler, help, ExperimentConfig fields taken as flags)
 _COMMANDS = {
-    "simulate": (run_simulate, "per-trial component counts", _WRITES + (
+    "simulate": (run_simulate, "per-trial component counts", _PARALLEL + (
         "n", "trials", "kappa", "area_samples", "no_timing", "dump_crit")),
     "scaling": (run_scaling, "component scaling over an n list",
-                _WRITES + ("n_list", "trials", "kappa")),
+                _PARALLEL + ("n_list", "trials", "kappa")),
     "raster": (cmd_raster, "rasterize one trial and write a PPM",
                _WRITES + ("n", "resolution", "bound", "kappa")),
     "constants": (cmd_constants, "print the closed-form constants", ()),
     "area": (cmd_area, "Gaussian/Edgeworth uncovered-area prediction",
-             _COMMON + ("n", "kappa", "c_n", "q1")),
+             ("n", "kappa", "c_n", "q1")),
     "heavytail": (cmd_heavytail, "heavy-tailed walk interval probability",
-                  _COMMON + ("r", "n", "a", "b", "trials")),
+                  ("master_seed", "r", "n", "a", "b", "trials")),
     "kacrice": (cmd_kacrice, "eps-integral and event estimators",
-                _COMMON + ("mode", "n", "kappa", "trials", "eps", "grid")),
+                ("master_seed", "mode", "n", "kappa", "trials", "eps", "grid")),
 }
 _ALIASES = {"area": ["area-predict"]}
 _MODES = ["epsint", "on-event", "t0"]

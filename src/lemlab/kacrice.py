@@ -323,10 +323,10 @@ def estimate_t0(n, kappa, trials, stream):
     """Estimate E[|1 + R/S^2|^2; O] (the expected extra components).
 
     The integrand has heavy tails in principle, so alongside the plain
-    mean we report a 32-block median-of-means; acceptance checks use the
-    median-of-means value.  Its SE is the asymptotic standard error of a
-    median of the block means; with fewer trials than blocks, each block
-    holds one value.
+    mean and its SE, which the acceptance check tests, we report a
+    32-block median-of-means, which it only prints.  Its SE is the
+    asymptotic standard error of a median of the block means; with
+    fewer trials than blocks, each block holds one value.
     """
     parts = []
     degenerate = 0

@@ -13,6 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 _NODES16, _WEIGHTS16 = np.polynomial.legendre.leggauss(16)
+#: bisections a panel may take before its failure is an error
+MAX_DEPTH = 52
 
 
 class QuadratureError(RuntimeError):
@@ -32,13 +34,13 @@ def _panel(f, a, b):
     return half * (y @ _WEIGHTS16)
 
 
-def adaptive_gauss(f, a, b, tol, max_depth=52):
+def adaptive_gauss(f, a, b, tol):
     """Integrate vector-valued f over [a, b] to absolute tolerance tol.
 
     `tol` may be a scalar or one value per component.  Returns (value,
     error_estimate) as arrays of the component count (or scalars for
     scalar integrands).  Raises QuadratureError when a panel at
-    max_depth still misses its tolerance share.
+    MAX_DEPTH still misses its tolerance share.
     """
     a = float(a)
     b = float(b)
@@ -64,11 +66,11 @@ def adaptive_gauss(f, a, b, tol, max_depth=52):
         # panels collapsing into an integrable singularity stop once their
         # contribution is negligible rather than chasing roundoff
         budget = tol * (abs(hi - lo) / length) + 1e-5 * tol
-        # a NaN delta meets no budget, so it fails at max_depth
+        # a NaN delta meets no budget, so it fails at MAX_DEPTH
         if np.all(delta <= budget):
             value += fine
             err += delta
-        elif depth >= max_depth:
+        elif depth >= MAX_DEPTH:
             raise QuadratureError(
                 "panel [%g, %g] failed at depth %d (err %s > %s)"
                 % (lo, hi, depth, delta, budget),

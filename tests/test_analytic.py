@@ -6,6 +6,7 @@ import pytest
 from scipy.special import spence
 
 from lemlab import analytic as an
+from lemlab import quadrature
 from lemlab.quadrature import QuadratureError, adaptive_gauss
 from lemlab.rng import derive_substream, sample_disc_array
 
@@ -94,21 +95,20 @@ def test_sigma_positive_and_continuous():
 
 
 def test_interpolant_agrees_with_quadrature():
-    for r in (0.513, 0.777, 0.9321, 0.9993):
-        s_i, g_i = an._sigma_gamma_interp(r)
+    # sigma from its closed form, gamma3 from the Chebyshev series
+    series = an._gamma3_series()
+    for r in (0.0055, 0.513, 0.777, 0.9321, 0.9946, 0.9993):
         tab = an.moments_log_dist(r)
-        assert abs(s_i - tab.sigma) < 1e-6
-        assert abs(g_i - tab.gamma3) < 1e-5
+        assert abs(an._sigma_closed(r) - tab.sigma) < 1e-10, r
+        assert abs(series(r) - tab.gamma3) < 1e-5, r
     # an array call is the scalar calls elementwise
     rs = np.linspace(0.4, 1.0, 97)
-    s_a, g_a = an._sigma_gamma_interp(rs)
-    pairs = [an._sigma_gamma_interp(float(r)) for r in rs]
-    assert np.array_equal(s_a, [p[0] for p in pairs])
-    assert np.array_equal(g_a, [p[1] for p in pairs])
-    # r = 1 and r = 0 are the first and last Chebyshev nodes
-    _, _, sig, gam = an._chebyshev_table()
-    assert an._sigma_gamma_interp(1.0) == (sig[0], gam[0])
-    assert an._sigma_gamma_interp(0.0) == (sig[-1], gam[-1])
+    assert np.array_equal(an._sigma_closed(rs), [an._sigma_closed(float(r)) for r in rs])
+    assert np.array_equal(series(rs), [series(float(r)) for r in rs])
+    # the series passes through its 65 nodes, r = 1 and r = 0 among them
+    nodes = 0.5 * (1.0 + np.cos(np.pi * np.arange(an._CHEB_N + 1) / an._CHEB_N))
+    for r in nodes:
+        assert abs(series(r) - an.moments_log_dist(float(r)).gamma3) < 1e-14, r
 
 
 def _series_second_raw(r):
@@ -250,15 +250,21 @@ def test_edgeworth_tail_pointwise_against_exact_law(monkeypatch):
 
 
 def test_edgeworth_interpolant_matches_direct(monkeypatch):
-    a = an.edgeworth_area(100, 2.0)
+    # sigma from the polar quadrature at every node of the area integral
+    closed = {n: an.edgeworth_area(n, 2.0) for n in (100, 10**6)}
 
     def direct(r):
-        tabs = [an.moments_log_dist(x) for x in r]
-        return np.array([t.sigma for t in tabs]), np.array([t.gamma3 for t in tabs])
+        return np.array([an.moments_log_dist(x).sigma for x in r])
 
-    monkeypatch.setattr(an, "_sigma_gamma_interp", direct)
-    b = an.edgeworth_area(100, 2.0)
-    assert a == pytest.approx(b, rel=1e-5)
+    monkeypatch.setattr(an, "_sigma_closed", direct)
+    for n, value in closed.items():
+        assert value == pytest.approx(an.edgeworth_area(n, 2.0), rel=1e-10), n
+
+
+def test_edgeworth_area_without_q1_runs_no_polar_quadrature():
+    an._moment_triple.cache_clear()
+    an.edgeworth_area(400, 2.0)
+    assert an._moment_triple.cache_info()[:2] == (0, 0)  # (hits, misses)
 
 
 def test_edgeworth_validation():
@@ -281,15 +287,16 @@ def test_limit_constant_identities():
     assert abs(lim * lim * math.pi + 1.0 - math.pi**2 / 6.0) < 1e-12
 
 
-def test_quadrature_error_surfaces():
+def test_quadrature_error_surfaces(monkeypatch):
     # a discontinuous integrand with an absurd tolerance must fail loudly
+    monkeypatch.setattr(quadrature, "MAX_DEPTH", 8)
     f = lambda x: np.where(np.sin(1e6 * x) > 0, 1.0, 0.0)
     with pytest.raises(QuadratureError):
-        adaptive_gauss(f, 0.0, 1.0, 1e-15, max_depth=8)
+        adaptive_gauss(f, 0.0, 1.0, 1e-15)
     # ... also with one tolerance per component
     g = lambda x: np.stack((f(x), x))
     with pytest.raises(QuadratureError):
-        adaptive_gauss(g, 0.0, 1.0, np.array([1e-15, 1e-15]), max_depth=8)
-    # a NaN panel meets no budget: it fails at max_depth, not accepted
+        adaptive_gauss(g, 0.0, 1.0, np.array([1e-15, 1e-15]))
+    # a NaN panel meets no budget: it fails at MAX_DEPTH, not accepted
     with pytest.raises(QuadratureError):
-        adaptive_gauss(lambda x: np.full_like(x, math.nan), 0.0, 1.0, 1e-8, max_depth=8)
+        adaptive_gauss(lambda x: np.full_like(x, math.nan), 0.0, 1.0, 1e-8)

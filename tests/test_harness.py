@@ -240,12 +240,18 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     assert main(["heavytail", "--a", "1", "--trials", "1000000"], out=io.StringIO()) == 2
     assert "below the right cut" in capsys.readouterr().err
     assert walked == []
-    # commands that write no file take no --out
-    for command in ("area", "heavytail", "kacrice"):
+    # commands that write no file take no --out, commands that run no
+    # trials in parallel no --threads, and area, which draws nothing, no --seed
+    txt = str(tmp_path / "x.txt")
+    for command, flag, value in (
+            ("area", "--out", txt), ("heavytail", "--out", txt), ("kacrice", "--out", txt),
+            ("raster", "--threads", "2"), ("area", "--threads", "2"),
+            ("heavytail", "--threads", "2"), ("kacrice", "--threads", "2"),
+            ("area", "--seed", "1")):
         with pytest.raises(SystemExit) as exc:
-            main([command, "--out", str(tmp_path / "x.txt")], out=io.StringIO())
+            main([command, flag, value], out=io.StringIO())
         assert exc.value.code == 2
-        assert "unrecognized arguments: --out" in capsys.readouterr().err
+        assert "unrecognized arguments: %s" % flag in capsys.readouterr().err
     assert not (tmp_path / "x.txt").exists()
     r = subprocess.run(
         [sys.executable, "-m", "lemlab.cli", "constants"],
@@ -375,13 +381,13 @@ def test_cli_outputs_pinned_raster(tmp_path):
     }
 
 
-# `lemlab area` (n, q1) -> (area, sqrt_n_area), recorded before the
-# moment interpolant took arrays, the q1 row after the Edgeworth term
-# took the sign of the upper tail; at rel 1e-12
+# `lemlab area` (n, q1) -> (area, sqrt_n_area), recorded once sigma(r)
+# came from its closed form (see the decisions ledger in CHANGES.md);
+# at rel 1e-12
 AREA_ROWS = {
-    ("400", 0): (0.07443514513838644, 1.4887029027677288),
-    ("400", 1): (0.07435497717138982, 1.4870995434277965),
-    ("1000000", 0): (0.0014249793373810895, 1.4249793373810895),
+    ("400", 0): (0.07443514513341888, 1.4887029026683776),
+    ("400", 1): (0.07435497716218573, 1.4870995432437146),
+    ("1000000", 0): (0.0014249793261856528, 1.4249793261856527),
 }
 
 
