@@ -8,6 +8,8 @@ zeros, (1/(pi eps^2)) int_U |F'|^2 1{|F| < eps} dA converges to the
 number of zeros of F in U as eps -> 0 and never exceeds deg F for any
 eps.  We apply it with F = P' (so F' = P''), evaluating both moduli in
 log space through the root sums |P'| = |P| |S| and |P''| = |P| |S^2 - R|.
+Whole blocks of base cells that a bound proves far from {|P'| < eps} are
+skipped, which leaves every bit of the count as the full grid gives it.
 
 Second, the conditioned-root event for X_0 and the rest-roots X_2..X_n:
 
@@ -29,12 +31,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .components import annulus_inner_radius
-from .polyeval import pair_sums
+from .polyeval import BLOCK_PAIRS, pair_sums
 from .rng import sample_disc_array
 
 _LOG_GUARD = 700.0
 #: refinement levels below the base grid of `epsilon_count`
 _MAX_DEPTH = 16
+#: side, in base cells, of the blocks `epsilon_count` may rule out
+_BLOCK = 8
+#: relative rounding allowance of that exclusion (see `_kept_cells`)
+_ROUND = 1e-9
 #: blocks of the median-of-means in `estimate_t0`
 _MOM_BLOCKS = 32
 
@@ -74,10 +80,13 @@ def epsilon_count(poly, region, eps, grid, subsample=32):
     settled by their midpoint; undecided cells are split in four, down to
     cells comparable with the local disc radius eps/|P''| (at most 16
     extra levels), and surviving boundary cells are settled by a
-    subsample x subsample midpoint rule.
+    subsample x subsample midpoint rule.  Level 0 runs, in row-major
+    order, only on the cells that `_kept_cells` cannot prove "outside" by
+    a bound over 8 x 8 blocks; a skipped cell adds nothing and is never
+    split, so the count equals the full-grid quadrature bit for bit.
     """
-    if eps <= 0:
-        raise ValueError("eps > 0 required")
+    if not (0 < eps < math.inf and subsample >= 1):
+        raise ValueError("finite eps > 0 and subsample >= 1 required")
     if grid < 256:
         raise ValueError("grid >= 256 required")
     xmin, xmax, ymin, ymax = region
@@ -85,14 +94,12 @@ def epsilon_count(poly, region, eps, grid, subsample=32):
         raise ValueError("degenerate region")
     log_eps = math.log(eps)
 
-    # level 0: all cells, then refine an ever-shrinking active set
-    gx = np.arange(grid)
+    # level 0: the kept cells, then refine an ever-shrinking active set
     hx = (xmax - xmin) / grid
     hy = (ymax - ymin) / grid
-    X, Y = np.meshgrid(xmin + (gx + 0.5) * hx, ymin + (gx + 0.5) * hy,
-                       indexing="ij")
-    cx = X.ravel()
-    cy = Y.ravel()
+    keep = _kept_cells(poly, region, grid, log_eps)
+    cx = xmin + (keep // grid + 0.5) * hx
+    cy = ymin + (keep % grid + 0.5) * hy
     total = 0.0
     denom = math.pi * eps * eps
     level = 0
@@ -129,6 +136,48 @@ def epsilon_count(poly, region, eps, grid, subsample=32):
         hy *= 0.5
         level += 1
     return total
+
+
+def _kept_cells(poly, region, grid, log_eps):
+    """Row-major indices of the base cells of `epsilon_count` not ruled out.
+
+    Every midpoint c of a _BLOCK x _BLOCK block of cells (edge blocks
+    overhang the grid) is within rho = 3.5 hypot(hx, hy) of the block
+    centre b.  With d_k = |b - x_k| > rho and u_j = sum (d_k - rho)^-j,
+    log|P(c)| >= log|P(b)| - rho u_1, |S(c)| >= |S(b)| - sum rho/(d_k
+    (d_k - rho)) and, as (S^2 - R)' = 2 sum (z - x_k)^-3 - 2 S R,
+    |S^2 - R|(c) <= |S^2 - R|(b) + 2 rho (u_1 u_2 + u_3).  As P' = P S and
+    P'' = P (S^2 - R), `low` > 0, the implied bound on |S| - 4 halfdiag
+    |S^2 - R|, with log|P(b)| - rho u_1 + log(low) > log eps proves level
+    0's "certainly out", |P'| > eps + 4 halfdiag |P''|, at every c.  A root
+    sum at b or c errs by a few ulps times log2 n against the sum of its
+    terms' moduli: under u_1 for S, u_1^2 + u_2 for S^2 - R, and n + sum
+    |log(d_k - rho)| + 2 rho u_1 for log|P|.  `low` gives up and the log
+    test asks _ROUND times those, a million times that error, with room
+    for the rounding of the test at c; rho gains _ROUND max |coordinate|.
+    """
+    xmin, xmax, ymin, ymax = region
+    hx, hy = (xmax - xmin) / grid, (ymax - ymin) / grid
+    nb = -(-grid // _BLOCK)
+    mid = np.arange(nb) * _BLOCK + 0.5 * _BLOCK
+    b = ((xmin + mid * hx)[:, None] + 1j * (ymin + mid * hy)).ravel()
+    logp, s, r = pair_sums(b, poly.roots, "log", "S", "R")
+    rho = 0.5 * (_BLOCK - 1) * math.hypot(hx, hy) + _ROUND * max(map(abs, region))
+    h4 = 2.0 * math.hypot(hx, hy)  # 4 halfdiag at level 0
+    ruled_out = np.zeros(b.size, bool)
+    rows = max(1, BLOCK_PAIRS // poly.n)  # bounds memory as `pair_sums` does
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for at in (slice(lo, lo + rows) for lo in range(0, b.size, rows)):
+            d = np.abs(b[at, None] - poly.roots)
+            g = np.where(d > rho, 1.0 / (d - rho), np.inf)
+            u1, u2, u3 = ((g ** j).sum(1) for j in (1, 2, 3))
+            low = (np.abs(s[at]) - rho * (g / d).sum(1)
+                   - h4 * (np.abs(s[at] ** 2 - r[at]) + 2.0 * rho * (u1 * u2 + u3))
+                   - _ROUND * (u1 + h4 * (u1 * u1 + u2)))
+            slack = _ROUND * (poly.n + np.abs(np.log(g)).sum(1) + 2.0 * rho * u1)
+            ruled_out[at] = logp[at] - rho * u1 + np.log(low) > log_eps + slack
+    keep = np.repeat(np.repeat(~ruled_out.reshape(nb, nb), _BLOCK, 0), _BLOCK, 1)
+    return np.flatnonzero(keep[:grid, :grid])
 
 
 def _subsample_cells(poly, cx, cy, hx, hy, s, log_eps, denom):

@@ -49,14 +49,81 @@ def test_eps_count_never_exceeds_degree():
             assert val <= n - 1 + 0.05
 
 
-def test_eps_count_validation():
+def test_eps_count_validation(monkeypatch):
+    # every rejection comes before any evaluation: unchecked, a NaN eps
+    # returns 0.0 after subsampling every base cell, and subsample=0
+    # raises ZeroDivisionError only once some cell settles
     poly = RootedPolynomial([0.0, 0.5])
-    with pytest.raises(ValueError):
-        epsilon_count(poly, DISC_BOX, -1.0, 512)
-    with pytest.raises(ValueError):
-        epsilon_count(poly, DISC_BOX, 1e-3, 128)
-    with pytest.raises(ValueError):
-        epsilon_count(poly, (1.0, -1.0, -1.0, 1.0), 1e-3, 512)
+
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("evaluated before validating")
+
+    monkeypatch.setattr(kacrice, "pair_sums", no_evaluation)
+    for eps, grid, region, subsample in (
+        (-1.0, 512, DISC_BOX, 32), (1e-3, 128, DISC_BOX, 32),
+        (1e-3, 512, (1.0, -1.0, -1.0, 1.0), 32), (math.nan, 512, DISC_BOX, 32),
+        (math.inf, 512, DISC_BOX, 32), (1e-3, 512, DISC_BOX, 0),
+        (1e-3, 512, DISC_BOX, -1),
+    ):
+        with pytest.raises(ValueError):
+            epsilon_count(poly, region, eps, grid, subsample=subsample)
+
+
+def _exclusion_cases():
+    """(poly, region, eps, grid): 22 cases across the eps range and grids."""
+    yield RootedPolynomial([0.0, 1.0]), (-1.0, 2.0, -1.0, 1.0), 1e-3, 512
+    for seed in range(5):
+        poly = RootedPolynomial(sample_disc_array(derive_substream(4206, seed), 6))
+        for eps in (1e-1, 1e-2, 1e-3):
+            yield poly, DISC_BOX, eps, 512
+    for n in (8, 12):
+        for seed in range(2):
+            poly = RootedPolynomial(sample_disc_array(derive_substream(62, seed), n))
+            yield poly, DISC_BOX, 1e-3, 512
+    yield RootedPolynomial(sample_disc_array(derive_substream(62, 0), 6)), DISC_BOX, 1e-3, 300
+    # a cluster seen from outside: |S|^2 far exceeds sum |z - x|^-2, so
+    # log|P| falls across a block by more than the bound on S gives back
+    cluster = RootedPolynomial(0.1 * sample_disc_array(derive_substream(63, 0), 12))
+    yield cluster, DISC_BOX, 1e-2, 512
+
+
+def test_excluded_cells_are_certainly_out():
+    # every base cell that block exclusion skips fails level 0's own
+    # "certainly out" test evaluated at its midpoint
+    skipped = cells = 0
+    for poly, region, eps, grid in _exclusion_cases():
+        xmin, xmax, ymin, ymax = region
+        hx, hy = (xmax - xmin) / grid, (ymax - ymin) / grid
+        g = np.arange(grid)
+        x, y = np.meshgrid(xmin + (g + 0.5) * hx, ymin + (g + 0.5) * hy, indexing="ij")
+        log_dp, log_ddp = kacrice._log_moduli(poly, x.ravel(), y.ravel())
+        lm = log_ddp + math.log(4.0 * (0.5 * math.hypot(hx, hy)))
+        out = log_dp > np.logaddexp(math.log(eps), lm)
+        skip = np.ones(grid * grid, bool)
+        skip[kacrice._kept_cells(poly, region, grid, math.log(eps))] = False
+        assert out[skip].all(), (poly.n, eps, grid)
+        skipped += int(skip.sum())
+        cells += skip.size
+    assert skipped > 0.5 * cells
+
+
+@pytest.mark.parametrize("stream, n, region, eps, grid, subsample, pinned", [
+    # perfbench's `estimators` round 0: substream 2 of batch_master_seed(0, 0) = 0
+    ((0, 2), 8, DISC_BOX, 1e-3, 512, 8, 6.995877572659544),
+    (None, 2, (-1.0, 2.0, -1.0, 1.0), 1e-3, 512, 32, 0.9994043072658636),
+    ((4206, 0), 6, DISC_BOX, 1e-1, 512, 8, 4.9995520730535645),
+    ((4206, 0), 6, DISC_BOX, 1e-2, 512, 8, 4.998994491863391),
+    ((4206, 0), 6, DISC_BOX, 1e-3, 512, 32, 4.999267611328346),
+    ((62, 0), 6, DISC_BOX, 1e-3, 300, 8, 5.00349847933039),
+    ((62, 1), 12, DISC_BOX, 1e-3, 512, 8, 10.995963111366795),
+    ((62, 2), 3, DISC_BOX, 1e-2, 512, 8, 2.002163556166369),
+], ids=["bench-round0", "roots01", "n6-eps1e-1", "n6-eps1e-2", "n6-eps1e-3",
+        "grid300", "n12", "n3"])
+def test_eps_count_pinned(stream, n, region, eps, grid, subsample, pinned):
+    # recorded from the full-grid quadrature; block exclusion keeps every bit
+    roots = [0.0, 1.0] if stream is None else sample_disc_array(derive_substream(*stream), n)
+    value = epsilon_count(RootedPolynomial(roots), region, eps, grid, subsample=subsample)
+    assert value == pytest.approx(pinned, rel=1e-12)
 
 
 def _event_empty(x0, s_t, qo):
