@@ -27,11 +27,10 @@ r = 0 and (zeta(2) - 1)/2 at r = 1.
 
 The area prediction needs sigma(r) at hundreds of radii per call and
 reads it from that closed form, which is exact and takes scalars or
-arrays of r.  Its Edgeworth term reads gamma3(r) from a degree-64
-Chebyshev series through 65 moments_log_dist values, built on the first
-call that asks for the term.  Both moments carry a w log w term, so
-neither is analytic at r = 1, and the series is off from the polar
-quadrature by up to 4e-7 for r below 0.999 and by up to 8.3e-7 above it.
+arrays of r.  Its Edgeworth term reads gamma3(r) from the polar
+quadrature at each node of the area integral, through the same cache
+as moments_log_dist.  Var(log|1 - X|) is the polar variance at r = 1,
+checked against the closed form like every other radius.
 """
 
 from __future__ import annotations
@@ -101,20 +100,13 @@ def _dilog_series(x):
 
 
 def var_log_one_minus_x():
-    """Var(log|1 - X|) = (zeta(2) - 1)/2 = (pi^2 - 6)/12, by quadrature.
+    """Var(log|1 - X|) = (zeta(2) - 1)/2 = (pi^2 - 6)/12, by polar quadrature.
 
-    Evaluates int_0^1 Li2(rho^2) rho drho (the angular average of
-    (log|1 - rho e^{i theta}|)^2) and asserts agreement with the closed
-    form to 1e-9 before returning the quadrature value.  The mean of
-    log|1 - X| is zero, so this second moment is the variance.
+    The polar variance at r = 1, which moments_log_dist has checked
+    against the closed form to CROSS_CHECK_TOL (MomentMismatchError
+    otherwise).
     """
-    value, _ = adaptive_gauss(lambda rho: dilog(rho * rho) * rho, 0.0, 1.0, 1e-12)
-    closed = (math.pi * math.pi - 6.0) / 12.0
-    if abs(value - closed) > 1e-9:
-        raise MomentMismatchError(
-            "dilog quadrature %r vs closed form %r" % (value, closed)
-        )
-    return value
+    return moments_log_dist(1.0).sigma ** 2
 
 
 def mean_log_dist(r):
@@ -220,17 +212,6 @@ def phi(x):
     return float(out) if np.isscalar(x) else out
 
 
-_CHEB_N = 64
-
-
-@lru_cache(maxsize=None)
-def _gamma3_series():
-    """gamma3(r) on [0, 1]: the Chebyshev series through 65 Lobatto nodes."""
-    nodes = 0.5 * (1.0 + np.cos(np.pi * np.arange(_CHEB_N + 1) / _CHEB_N))
-    gamma3 = [_moment_triple(float(r))[2] for r in nodes]
-    return np.polynomial.Chebyshev.fit(nodes, gamma3, _CHEB_N, domain=(0.0, 1.0))
-
-
 def skew_correction(x, sigma, gamma3):
     """Edgeworth first correction: -gamma3/(6 sqrt(2 pi) sigma^3) (x^2-1) e^{-x^2/2}.
 
@@ -256,9 +237,9 @@ def edgeworth_area(n, kappa, c_n=0.0, include_q1=False):
     expansion is valid.  include_q1 adds the Edgeworth term, with Q1 =
     skew_correction(C_r, sigma(r), gamma3(r)).
 
-    sigma(r) comes from its closed form and gamma3(r) from the Chebyshev
-    series (see the module docstring); the integral is taken to absolute
-    accuracy AREA_TOL.
+    sigma(r) comes from its closed form and gamma3(r) from the polar
+    quadrature at each node (see the module docstring); the integral is
+    taken to absolute accuracy AREA_TOL.
     """
     if n < 2:
         raise ValueError("n >= 2 required")
@@ -273,7 +254,8 @@ def edgeworth_area(n, kappa, c_n=0.0, include_q1=False):
         c_r = sqrt_n * (c_n - mean_log_dist(r)) / sigma
         val = 1.0 - phi(c_r)
         if include_q1:
-            val -= skew_correction(c_r, sigma, _gamma3_series()(r)) / sqrt_n
+            gamma3 = np.array([_moment_triple(float(x))[2] for x in r])
+            val -= skew_correction(c_r, sigma, gamma3) / sqrt_n
         return val * r
 
     value, _ = adaptive_gauss(integrand, lo, 1.0, AREA_TOL)

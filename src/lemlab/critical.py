@@ -81,15 +81,6 @@ def find_critical_points(poly, stream):
     """
     roots = poly.roots
     n = poly.n
-    if n < 2:
-        return CriticalSet(
-            points=np.empty(0, dtype=np.complex128),
-            dmin=np.empty(0),
-            log_values=np.empty(0),
-            residuals=np.empty(0),
-            iterations=0,
-            converged=True,
-        )
     # root gaps and S_rest(x_k) = sum_{j != k} 1/(x_k - x_j)
     gaps, s_rest = pair_sums(roots, roots, "dmin", "S", skip=np.arange(n))
     pairs = n * n

@@ -265,12 +265,17 @@ def run_simulate(config, out=sys.stdout):
     return records
 
 
-#: scaling rows must keep mean/sqrt(n) inside this bracket for n >= 100
+#: scaling rows at n >= 100 must keep mean/sqrt(n) within 3 of their own
+#: standard errors (0 for a single trial) of this bracket
 SCALING_BRACKET = (0.2, 1.0)
 
 
 def run_scaling(config, out=sys.stdout):
-    """Component-count scaling across an n-list, with the sqrt(n) bracket."""
+    """Component-count scaling across an n-list, with the sqrt(n) bracket.
+
+    The table is printed and written to `out_path` before a row outside
+    the bracket raises NumericFailureError.
+    """
     config.validate()
     claim_output(config.out_path)
     rows = []
@@ -292,13 +297,15 @@ def run_scaling(config, out=sys.stdout):
         rows.append(row)
         table.append("%d,%d,%d,%r,%r,%r,%r" % row)
         print(table[-1], file=out)
-    for n, _, _, _, _, scaled, _ in rows:
-        if n >= 100 and not (SCALING_BRACKET[0] <= scaled <= SCALING_BRACKET[1]):
-            raise NumericFailureError(
-                "n=%d: mean/sqrt(n)=%.4f outside %s" % (n, scaled, SCALING_BRACKET)
-            )
     print("# limit constant = %.10f" % limit_constant(), file=out)
     if config.out_path:
         with open(config.out_path, "w") as fh:
             fh.write("\n".join(table) + "\n")
+    for n, _, _, _, _, scaled, scaled_se in rows:
+        slack = 0.0 if math.isnan(scaled_se) else 3.0 * scaled_se
+        if n >= 100 and not (SCALING_BRACKET[0] - slack <= scaled <= SCALING_BRACKET[1] + slack):
+            raise NumericFailureError(
+                "n=%d: mean/sqrt(n)=%.4f (se %.4f) more than 3 se outside %s"
+                % (n, scaled, scaled_se, SCALING_BRACKET)
+            )
     return rows

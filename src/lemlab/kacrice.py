@@ -75,15 +75,19 @@ def epsilon_count(poly, region, eps, grid, subsample=32):
     """Quadrature of (1/(pi eps^2)) int |P''|^2 1{|P'| < eps} over `region`.
 
     region = (xmin, xmax, ymin, ymax).  The base grid is `grid` cells per
-    side.  Cells provably inside or outside {|P'| < eps} (via the margin
-    |P'(c)| -/+ 4 |P''(c)| * halfdiag against eps, all in log space) are
-    settled by their midpoint; undecided cells are split in four, down to
-    cells comparable with the local disc radius eps/|P''| (at most 16
-    extra levels), and surviving boundary cells are settled by a
-    subsample x subsample midpoint rule.  Level 0 runs, in row-major
-    order, only on the cells that `_kept_cells` cannot prove "outside" by
-    a bound over 8 x 8 blocks; a skipped cell adds nothing and is never
-    split, so the count equals the full-grid quadrature bit for bit.
+    side.  A cell whose midpoint c passes |P'(c)| + 4 halfdiag |P''(c)| <
+    eps counts as inside {|P'| < eps}, and one with |P'(c)| - 4 halfdiag
+    |P''(c)| > eps as outside (all in log space); either is settled by
+    its midpoint.  This is a first-order test with a factor-4 allowance,
+    not a bound: near a zero of P'', |P''| can exceed 4 |P''(c)| inside
+    the cell, and the set's boundary can then cross a settled cell.
+    Undecided cells are split in four, down to cells comparable with the
+    local disc radius eps/|P''| (at most 16 extra levels), and surviving
+    boundary cells are settled by a subsample x subsample midpoint rule.
+    Level 0 runs, in row-major order, only on the cells that `_kept_cells`
+    cannot show that test to call outside, by a bound over 8 x 8 blocks;
+    a skipped cell adds nothing and is never split, so the count equals
+    the full-grid quadrature bit for bit.
     """
     if not (0 < eps < math.inf and subsample >= 1):
         raise ValueError("finite eps > 0 and subsample >= 1 required")
@@ -149,7 +153,9 @@ def _kept_cells(poly, region, grid, log_eps):
     |S^2 - R|(c) <= |S^2 - R|(b) + 2 rho (u_1 u_2 + u_3).  As P' = P S and
     P'' = P (S^2 - R), `low` > 0, the implied bound on |S| - 4 halfdiag
     |S^2 - R|, with log|P(b)| - rho u_1 + log(low) > log eps proves level
-    0's "certainly out", |P'| > eps + 4 halfdiag |P''|, at every c.  A root
+    0's "certainly out", |P'| > eps + 4 halfdiag |P''|, at every c.  That
+    is all it proves: a ruled-out cell is one level 0 would call outside,
+    not a cell shown to lie outside {|P'| < eps}.  A root
     sum at b or c errs by a few ulps times log2 n against the sum of its
     terms' moduli: under u_1 for S, u_1^2 + u_2 for S^2 - R, and n + sum
     |log(d_k - rho)| + 2 rho u_1 for log|P|.  `low` gives up and the log

@@ -95,20 +95,13 @@ def test_sigma_positive_and_continuous():
 
 
 def test_interpolant_agrees_with_quadrature():
-    # sigma from its closed form, gamma3 from the Chebyshev series
-    series = an._gamma3_series()
+    # sigma from its closed form against the polar quadrature
     for r in (0.0055, 0.513, 0.777, 0.9321, 0.9946, 0.9993):
         tab = an.moments_log_dist(r)
         assert abs(an._sigma_closed(r) - tab.sigma) < 1e-10, r
-        assert abs(series(r) - tab.gamma3) < 1e-5, r
     # an array call is the scalar calls elementwise
     rs = np.linspace(0.4, 1.0, 97)
     assert np.array_equal(an._sigma_closed(rs), [an._sigma_closed(float(r)) for r in rs])
-    assert np.array_equal(series(rs), [series(float(r)) for r in rs])
-    # the series passes through its 65 nodes, r = 1 and r = 0 among them
-    nodes = 0.5 * (1.0 + np.cos(np.pi * np.arange(an._CHEB_N + 1) / an._CHEB_N))
-    for r in nodes:
-        assert abs(series(r) - an.moments_log_dist(float(r)).gamma3) < 1e-14, r
 
 
 def _series_second_raw(r):
@@ -259,6 +252,34 @@ def test_edgeworth_interpolant_matches_direct(monkeypatch):
     monkeypatch.setattr(an, "_sigma_closed", direct)
     for n, value in closed.items():
         assert value == pytest.approx(an.edgeworth_area(n, 2.0), rel=1e-10), n
+
+
+def test_edgeworth_q1_reads_polar_gamma3_at_every_node(monkeypatch):
+    # the skewness term of the area integrand is skew_correction with
+    # moments_log_dist(r).gamma3 at each node the quadrature asks for
+    n = 400
+    integrands = []
+    quad = an.adaptive_gauss
+
+    def spy(f, lo, hi, tol):
+        integrands.append(f)
+        return quad(f, lo, hi, tol)
+
+    monkeypatch.setattr(an, "adaptive_gauss", spy)
+    lo = an.annulus_inner_radius(n, 2.0)
+    nodes = np.concatenate(([lo], lo + (1.0 - lo) * np.linspace(0.01, 0.99, 37), [1.0]))
+    values = {}
+    for q1 in (False, True):
+        integrands.clear()
+        an.edgeworth_area(n, 2.0, include_q1=q1)
+        values[q1] = integrands[0](nodes)
+    sigma = an._sigma_closed(nodes)
+    c_r = math.sqrt(n) * (0.0 - an.mean_log_dist(nodes)) / sigma
+    gamma3 = np.array([an.moments_log_dist(r).gamma3 for r in nodes])
+    expected = -an.skew_correction(c_r, sigma, gamma3) / math.sqrt(n) * nodes
+    # the series this replaced was off by up to 8.3e-7 in gamma3, far
+    # above the rounding of the difference of two integrand values
+    assert np.abs(values[True] - values[False] - expected).max() < 1e-15
 
 
 def test_edgeworth_area_without_q1_runs_no_polar_quadrature():

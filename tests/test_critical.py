@@ -170,8 +170,13 @@ def test_nonconvergence_reports_partial_state(monkeypatch):
 
 
 def test_requires_two_roots():
-    empty = find_critical_points(RootedPolynomial([0.1]), stream=derive_substream(0, 0))
-    assert empty.converged and len(empty) == 0
+    # n = 1 takes the general path: no warning, no uniform drawn
+    stream = derive_substream(0, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        empty = find_critical_points(RootedPolynomial([0.1]), stream=stream)
+    assert empty.converged and len(empty) == 0 and empty.iterations == 0
+    assert stream.counter == 0
 
 
 def test_validate_separation_is_strict():
@@ -236,13 +241,12 @@ def test_pairs_counts_every_root_sum_pass(monkeypatch):
         return pair_sums(z, x, *names, **kw)
 
     monkeypatch.setattr(critical, "pair_sums", spy)
-    for n in (2, 12, 150):
+    for n in (1, 2, 12, 150):
         passes.clear()
         poly = RootedPolynomial(sample_disc_array(derive_substream(33, n), n))
         crit = find_critical_points(poly, stream=derive_substream(34, n))
         assert crit.converged and crit.pairs == sum(passes)
         assert len(passes) == 2 + 2 * crit.iterations
-    assert find_critical_points(RootedPolynomial([0.1]), stream=derive_substream(0, 0)).pairs == 0
 
     # a whole trial: after the solve, the inradius probe and the area
     # Monte Carlo are the only passes; the count reads the solver's values
