@@ -4,8 +4,9 @@ The expected number of lemniscate components grows like gamma sqrt(n)
 with gamma = sqrt((zeta(2) - 1)/pi), and the expected area of the unit
 disc left uncovered shrinks like sqrt(pi (zeta(2) - 1)) / sqrt(n).  Both
 constants trace back to Var(log|1 - X|) = (pi^2 - 6)/12, which the
-package computes by quadrature of the dilogarithm identity
-int_0^{2pi} (log|1 - rho e^{i t}|)^2 dt = pi Li2(rho^2).
+package reads from its closed form for E[(log|r - X|)^2] at r = 1, built
+on the dilogarithm identity int_0^{2pi} (log|1 - rho e^{i t}|)^2 dt =
+pi Li2(rho^2).
 """
 
 import math

@@ -1,36 +1,43 @@
-"""Closed forms and quadratures behind the lemniscate asymptotics.
+"""Closed forms behind the lemniscate asymptotics.
 
 Central objects: the dilogarithm; the moments of log|r - X| for X
 uniform on the unit disc; the Gaussian-plus-skewness prediction for the
 expected area of the disc left uncovered by the lemniscate; and the
 limiting component-count constant sqrt((zeta(2) - 1)/pi).
 
-The moments u(r), sigma(r), gamma3(r) of log|r - X| come from the polar
-quadrature
+The moments of log|r - X| are closed forms in r, for scalar or array r.
+With w = 1 - r^2 the mean is u = -w/2, and
 
-    (1/pi) int_0^1 int_0^{2pi} g(log|r - rho e^{i theta}|) rho dtheta drho,
+    E2 = E[(log|r - X|)^2] = 1/2 - r^2 + Li2(r^2)/2 - w log(w)/2,
+    E3 = E[(log|r - X|)^3] = -3/4 + 9 r^2/4 - (3/4) w [Li2(r^2) - 2 log w
+                             + log^2 w] - (3/2) S12(r^2),
+    gamma3 = E3 - 3 u E2 + 2 u^3,
 
-which is the authoritative definition here.  Each quadrature panel is
-one array expression over its nodes.  The second moment is checked, on
-every evaluation, against its closed form
+with w log w = w log^2 w = 0 at r = 1, and Nielsen's polylogarithm
+S12(x) = sum_{N >= 2} H_{N-1} x^N / N^2 = (1/2) int_0^x log^2(1 - t)/t dt.
 
-    E[(log|r - X|)^2] = 1/2 - r^2 + Li2(r^2)/2 - w log(w)/2,
+Write X = rho e^{i theta}, M = max(r, rho) and m = min(r, rho)/M.  The
+cosine series of log|1 - m e^{i theta}| gives the angular averages of
+(log M + log|1 - m e^{i theta}|)^k: log^2 M + Li2(m^2)/2 for k = 2 and
+log^3 M + (3/2) log M Li2(m^2) - (3/2) S12(m^2) for k = 3.  Each moment
+is then an integral of 2 rho over 0 <= rho <= 1.
 
-with w = 1 - r^2 and w log w = 0 at r = 1.  Expanding log|1 - m e^{i theta}|
-in its cosine series gives the angular average, and with it the integral
-int_0^1 2 rho [ (log max(r, rho))^2 + Li2((min/max)^2)/2 ] drho.  Its
-log^2 part is 1/2 + r^2 log r - r^2/2.  Its Li2 part over rho < r is
-r^2 (zeta(2) - 1)/2, since int_0^1 Li2 = zeta(2) - 1.  Over rho > r the
-substitution s = r^2/rho^2 and two integrations by parts turn it into
-Li2(r^2)/2 - r^2 zeta(2)/2 - r^2 log r - w log(w)/2.  The sum is 1/2 at
-r = 0 and (zeta(2) - 1)/2 at r = 1.
+- E2.  Its log^2 part is 1/2 + r^2 log r - r^2/2.  Its Li2 part over
+  rho < r is r^2 (zeta(2) - 1)/2, since int_0^1 Li2 = zeta(2) - 1.  Over
+  rho > r the substitution s = r^2/rho^2 and two integrations by parts
+  turn it into Li2(r^2)/2 - r^2 zeta(2)/2 - r^2 log r - w log(w)/2.  The
+  sum is 1/2 at r = 0 and (zeta(2) - 1)/2 at r = 1.
+- E3.  The part rho < r is r^2 [log^3 r + (3/2)(zeta(2) - 1) log r -
+  (3/2)(zeta(3) - 1)], since int_0^1 S12 = zeta(3) - 1.  The part rho > r
+  goes through the same substitution and integrations by parts.  Then
+  gamma3 is -1/4 at r = 0 (log|X| = -E/2 with E ~ Exp(1)) and
+  -(3/2)(zeta(3) - 1) at r = 1.
 
-The area prediction needs sigma(r) at hundreds of radii per call and
-reads it from that closed form, which is exact and takes scalars or
-arrays of r.  Its Edgeworth term reads gamma3(r) from the polar
-quadrature at each node of the area integral, through the same cache
-as moments_log_dist.  Var(log|1 - X|) is the polar variance at r = 1,
-checked against the closed form like every other radius.
+Li2, Li3 and S12 are power series up to x = 1/2; above it, the
+reflection S12(x) = zeta(3) - Li3(1 - x) + log(1 - x) Li2(1 - x) +
+log x log^2(1 - x)/2, like dilog's, maps the argument back.  The area
+prediction reads sigma(r), and gamma3(r) for its Edgeworth term, on the
+node array of each quadrature panel.
 """
 
 from __future__ import annotations
@@ -42,23 +49,19 @@ from functools import lru_cache
 import numpy as np
 
 from .components import annulus_inner_radius
-from .quadrature import _NODES16, _WEIGHTS16, adaptive_gauss
+from .quadrature import adaptive_gauss
 
 ZETA2 = math.pi * math.pi / 6.0
-
-#: absolute accuracy demanded of the polar second-moment quadrature
-SIGMA_TOL = 5e-10
-#: absolute accuracy demanded of the polar third-moment quadrature
-GAMMA3_TOL = 1e-8
-#: required agreement between the polar and closed-form second moments;
-#: the form is exact, so this bounds the polar quadrature's own error
-CROSS_CHECK_TOL = 2.0 * SIGMA_TOL
+ZETA3 = 1.2020569031595942
 #: absolute accuracy demanded of the edgeworth_area integral
 AREA_TOL = 1e-8
 
-
-class MomentMismatchError(RuntimeError):
-    """Polar and closed-form second moments disagree beyond tolerance."""
+# series denominators for Li2, Li3 and S12 (its x^1 term is zero); at
+# |x| <= 1/2 each tail after 52 terms is below 1e-18
+_K = np.arange(1.0, 53.0)
+_DEN_LI2 = _K * _K
+_DEN_LI3 = _K * _K * _K
+_DEN_S12 = np.concatenate(([np.inf], _DEN_LI2[1:] / np.cumsum(1.0 / _K[:-1])))
 
 
 @dataclass(frozen=True)
@@ -69,6 +72,16 @@ class MomentTable:
     u: float
     sigma: float
     gamma3: float
+
+
+def _power_series(x, den):
+    """sum_k x^k / den[k - 1], for |x| <= 1/2."""
+    out = np.zeros_like(x)
+    term = np.ones_like(x)
+    for d in den:
+        term = term * x
+        out += term / d
+    return out
 
 
 def dilog(x):
@@ -82,84 +95,40 @@ def dilog(x):
     if not np.all((x >= 0.0) & (x <= 1.0)):
         raise ValueError("dilog requires 0 <= x <= 1")
     hi = x > 0.5
-    series = _dilog_series(np.where(hi, 1.0 - x, x))
+    series = _power_series(np.where(hi, 1.0 - x, x), _DEN_LI2)
     with np.errstate(divide="ignore", invalid="ignore"):
         cross = np.where(x == 1.0, 0.0, np.log(x) * np.log1p(-x))
     out = np.where(hi, ZETA2 - cross - series, series)
     return float(out) if scalar else out
 
 
-def _dilog_series(x):
-    # |x| <= 1/2: 0.5^52/52^2 < 1e-19, so 52 terms are ample
-    out = np.zeros_like(x)
-    term = np.ones_like(x)
-    for k in range(1, 53):
-        term = term * x
-        out += term / (k * k)
-    return out
+def _nielsen_s12(x, y):
+    """S12(x) on [0, 1], with y = 1 - x formed by the caller without cancellation.
+
+    Above x = 1/2 the reflection in the module docstring evaluates it
+    from the series of Li2(y) and Li3(y).
+    """
+    x = np.asarray(x, dtype=np.float64)
+    hi = x > 0.5
+    y = np.where(hi, y, 0.0)
+    with np.errstate(divide="ignore"):
+        log_y = np.where(y > 0.0, np.log(y), 0.0)
+    reflected = (ZETA3 - _power_series(y, _DEN_LI3) + log_y * _power_series(y, _DEN_LI2)
+                 + 0.5 * np.log1p(-y) * log_y * log_y)
+    return np.where(hi, reflected, _power_series(np.where(hi, 0.0, x), _DEN_S12))[()]
 
 
 def var_log_one_minus_x():
-    """Var(log|1 - X|) = (zeta(2) - 1)/2 = (pi^2 - 6)/12, by polar quadrature.
+    """Var(log|1 - X|) = (zeta(2) - 1)/2 = (pi^2 - 6)/12, in closed form.
 
-    The polar variance at r = 1, which moments_log_dist has checked
-    against the closed form to CROSS_CHECK_TOL (MomentMismatchError
-    otherwise).
+    The mean of log|1 - X| is 0, so this is the second raw moment at r = 1.
     """
-    return moments_log_dist(1.0).sigma ** 2
+    return float(_second_raw_closed(1.0))
 
 
 def mean_log_dist(r):
     """u(r) = E[log|r - X|] = (r^2 - 1)/2 for 0 <= r <= 1."""
     return (r * r - 1.0) / 2.0
-
-
-_THETA_DEPTH = 48
-
-
-@lru_cache(maxsize=None)
-def _theta_rule():
-    # composite GL-16 on [0, pi], panels graded geometrically toward the
-    # (potential) logarithmic peak at theta = 0; fixed depth so the rule,
-    # viewed as a function of rho, is perfectly smooth
-    edges = np.pi * 2.0 ** (-np.arange(_THETA_DEPTH + 1, dtype=np.float64))
-    los = np.concatenate(([0.0], edges[::-1][:-1]))
-    his = edges[::-1]
-    mids = 0.5 * (los + his)
-    halfs = 0.5 * (his - los)
-    nodes = (mids[:, None] + halfs[:, None] * _NODES16).ravel()
-    weights = (halfs[:, None] * _WEIGHTS16).ravel()
-    return np.sin(0.5 * nodes) ** 2, weights
-
-
-def _polar_central_moments(r):
-    """(second, third) central moments of log|r - X| by polar quadrature.
-
-    Each rho panel meets the whole theta rule as one array, with
-    |r - rho e^{i theta}|^2 = (r - rho)^2 + 4 r rho sin^2(theta/2),
-    which stays accurate to the last ulp even when theta is tiny and
-    rho is within roundoff of r.
-    """
-    sin2half, weights = _theta_rule()
-    u = mean_log_dist(r)
-
-    def outer(rho):
-        # in place: a fresh 96 KiB array per step ran up to 1.8x slower in some heap layouts
-        t = (4.0 * r * rho[:, None]) * sin2half
-        t += (r - rho[:, None]) ** 2
-        t = 0.5 * np.log(np.maximum(t, 1e-300, out=t), out=t) - u
-        t2 = t * t
-        scale = 2.0 * rho / math.pi
-        return np.stack((scale * (t2 @ weights), scale * ((t2 * t) @ weights)))
-
-    tol = np.array([SIGMA_TOL, GAMMA3_TOL])
-    if 0.0 < r < 1.0:  # split at the kink rho = r
-        va, _ = adaptive_gauss(outer, 0.0, r, 0.5 * tol)
-        vb, _ = adaptive_gauss(outer, r, 1.0, 0.5 * tol)
-        m2, m3 = va + vb
-    else:
-        (m2, m3), _ = adaptive_gauss(outer, 0.0, 1.0, tol)
-    return float(m2), float(m3)
 
 
 def _second_raw_closed(r):
@@ -171,28 +140,37 @@ def _second_raw_closed(r):
     return (0.5 - r * r + 0.5 * dilog(r * r) - 0.5 * w_log_w)[()]
 
 
+def _third_raw_closed(r):
+    """E[(log|r - X|)^3] in closed form, for scalar or array r (module docstring)."""
+    r = np.asarray(r, dtype=np.float64)
+    x = r * r
+    w = (1.0 - r) * (1.0 + r)
+    with np.errstate(divide="ignore"):
+        log_w = np.where(w > 0.0, np.log(w), 0.0)
+    bracket = dilog(x) - 2.0 * log_w + log_w * log_w
+    return (-0.75 + 2.25 * x - 0.75 * w * bracket - 1.5 * _nielsen_s12(x, w))[()]
+
+
 def _sigma_closed(r):
     """sigma(r) = sqrt(E[(log|r - X|)^2] - u(r)^2), exact, for scalar or array r."""
     u = mean_log_dist(r)
     return np.sqrt(_second_raw_closed(r) - u * u)
 
 
+def _gamma3_closed(r):
+    """gamma3(r) = E[(log|r - X| - u)^3], exact, for scalar or array r."""
+    r = np.asarray(r, dtype=np.float64)
+    u = -0.5 * (1.0 - r) * (1.0 + r)
+    return (_third_raw_closed(r) - 3.0 * u * _second_raw_closed(r) + 2.0 * u * u * u)[()]
+
+
 @lru_cache(maxsize=200_000)
 def _moment_triple(r):
-    u = mean_log_dist(r)
-    m2c, m3c = _polar_central_moments(r)
-    raw2_polar = m2c + u * u
-    raw2_closed = _second_raw_closed(r)
-    if abs(raw2_polar - raw2_closed) > CROSS_CHECK_TOL:
-        raise MomentMismatchError(
-            "second moment of log|%g - X|: polar %r vs closed form %r"
-            % (r, raw2_polar, raw2_closed)
-        )
-    return u, math.sqrt(m2c), m3c
+    return mean_log_dist(r), float(_sigma_closed(r)), float(_gamma3_closed(r))
 
 
 def moments_log_dist(r):
-    """MomentTable for log|r - X|, 0 <= r <= 1 (see module docstring)."""
+    """MomentTable for log|r - X|, 0 <= r <= 1, from the closed forms (module docstring)."""
     r = float(r)
     if not 0.0 <= r <= 1.0:
         raise ValueError("r must lie in [0, 1]")
@@ -237,9 +215,9 @@ def edgeworth_area(n, kappa, c_n=0.0, include_q1=False):
     expansion is valid.  include_q1 adds the Edgeworth term, with Q1 =
     skew_correction(C_r, sigma(r), gamma3(r)).
 
-    sigma(r) comes from its closed form and gamma3(r) from the polar
-    quadrature at each node (see the module docstring); the integral is
-    taken to absolute accuracy AREA_TOL.
+    sigma(r) and gamma3(r) come from their closed forms on each panel's
+    node array (see the module docstring); the integral is taken to
+    absolute accuracy AREA_TOL.
     """
     if n < 2:
         raise ValueError("n >= 2 required")
@@ -254,8 +232,7 @@ def edgeworth_area(n, kappa, c_n=0.0, include_q1=False):
         c_r = sqrt_n * (c_n - mean_log_dist(r)) / sigma
         val = 1.0 - phi(c_r)
         if include_q1:
-            gamma3 = np.array([_moment_triple(float(x))[2] for x in r])
-            val -= skew_correction(c_r, sigma, gamma3) / sqrt_n
+            val -= skew_correction(c_r, sigma, _gamma3_closed(r)) / sqrt_n
         return val * r
 
     value, _ = adaptive_gauss(integrand, lo, 1.0, AREA_TOL)

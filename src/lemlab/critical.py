@@ -16,7 +16,10 @@ pseudo-random angle, so clustered roots do not start in symmetric
 deadlock.  All n-1 angles are drawn either way, so the stream advances
 alike.  An iterate stops when its update |w| is below
 SWEEP_TOL * (1 + |z|) or when its next update, predicted at the observed
-contraction as |w|^2 / |w_prev|, is.
+contraction as |w|^2 / |w_prev|, is.  Once all have stopped, those
+that fail the residual certificate get one more round of sweeps,
+restarted with no contraction estimate, within the same MAX_SWEEPS
+budget.
 
 The per-point residual certificate is |Sfull(beta)| * min_k |beta - x_k|,
 which is scale-free: near a root the sum blows up like 1/distance, so the
@@ -92,44 +95,51 @@ def find_critical_points(poly, stream):
     prev_step = np.zeros(m)  # |w| of the last sweep; 0 before the first
     sweeps = 0
 
-    for _ in range(MAX_SWEEPS):
-        idx = np.flatnonzero(active)
-        if not idx.size:
+    for attempt in range(2):
+        while sweeps < MAX_SWEEPS:
+            idx = np.flatnonzero(active)
+            if not idx.size:
+                break
+            sweeps += 1
+            za = z[idx]
+            dmin, S, R = pair_sums(za, roots, "dmin", "S", "R")
+            pairs += idx.size * n
+            (A,) = pair_sums(za, z, "S", skip=idx)  # sum_{j != i} 1/(z_i - z_j)
+            pairs += idx.size * m
+            with np.errstate(divide="ignore", invalid="ignore"):
+                N = S / (S * S - R)
+                w = N / (1.0 - N * A)
+            # an iterate on a root has non-finite S and R there, so w is not
+            # finite; this bounded step moves it off the root
+            badw = ~np.isfinite(w)
+            if badw.any():
+                w = np.where(badw, 0.05 * np.exp(1j * 0.7) * (dmin + 1e-6), w)
+            # cap the step at a fraction of the disc so a degenerate
+            # denominator cannot fling an iterate far away
+            aw = np.abs(w)
+            big = aw > 0.25
+            if big.any():
+                w = np.where(big, w * (0.25 / np.where(big, aw, 1.0)), w)
+
+            z2 = za - w
+            z[idx] = z2
+            aw = np.abs(w)
+            tol = SWEEP_TOL * (1.0 + np.abs(z2))
+            # stop on this step, or on the next one predicted at the observed
+            # contraction |w| / |w_prev| (never, while prev_step is 0)
+            done = (aw < tol) | (aw * aw < tol * prev_step[idx])
+            prev_step[idx] = aw
+            active[idx[done]] = False
+
+        dmin, S, log_values = pair_sums(z, roots, "dmin", "S", "log")
+        pairs += m * n
+        residuals = np.abs(S) * dmin
+        # the predicted stop can come early: such iterates sweep on, once
+        redo = residuals >= RESIDUAL_TOL
+        if attempt or sweeps == MAX_SWEEPS or not redo.any():
             break
-        sweeps += 1
-        za = z[idx]
-        dmin, S, R = pair_sums(za, roots, "dmin", "S", "R")
-        pairs += idx.size * n
-        (A,) = pair_sums(za, z, "S", skip=idx)  # sum_{j != i} 1/(z_i - z_j)
-        pairs += idx.size * m
-        with np.errstate(divide="ignore", invalid="ignore"):
-            N = S / (S * S - R)
-            w = N / (1.0 - N * A)
-        # an iterate on a root has non-finite S and R there, so w is not
-        # finite; this bounded step moves it off the root
-        badw = ~np.isfinite(w)
-        if badw.any():
-            w = np.where(badw, 0.05 * np.exp(1j * 0.7) * (dmin + 1e-6), w)
-        # cap the step at a fraction of the disc so a degenerate
-        # denominator cannot fling an iterate far away
-        aw = np.abs(w)
-        big = aw > 0.25
-        if big.any():
-            w = np.where(big, w * (0.25 / np.where(big, aw, 1.0)), w)
-
-        z2 = za - w
-        z[idx] = z2
-        aw = np.abs(w)
-        tol = SWEEP_TOL * (1.0 + np.abs(z2))
-        # stop on this step, or on the next one predicted at the observed
-        # contraction |w| / |w_prev| (never, while prev_step is 0)
-        done = (aw < tol) | (aw * aw < tol * prev_step[idx])
-        prev_step[idx] = aw
-        active[idx[done]] = False
-
-    dmin, S, log_values = pair_sums(z, roots, "dmin", "S", "log")
-    pairs += m * n
-    residuals = np.abs(S) * dmin
+        active = redo
+        prev_step[redo] = 0.0
     converged = bool(np.all(residuals < RESIDUAL_TOL)) and not active.any()
     crit = CriticalSet(points=z, dmin=dmin, log_values=log_values, residuals=residuals,
                        iterations=sweeps, converged=converged, pairs=pairs)

@@ -273,8 +273,9 @@ SCALING_BRACKET = (0.2, 1.0)
 def run_scaling(config, out=sys.stdout):
     """Component-count scaling across an n-list, with the sqrt(n) bracket.
 
-    The table is printed and written to `out_path` before a row outside
-    the bracket raises NumericFailureError.
+    The table is printed and written to `out_path` before a row with too
+    many solver failures, or outside the bracket, raises
+    NumericFailureError.  A row with no successful trial reads nan.
     """
     config.validate()
     claim_output(config.out_path)
@@ -289,9 +290,7 @@ def run_scaling(config, out=sys.stdout):
         records = run_trials(sub, int(n) << 32)
         ok = [r for r in records if not r.failed]
         failed = len(records) - len(ok)
-        if failed > FAILURE_ABORT_FRACTION * config.trials:
-            raise NumericFailureError("n=%d: %d failures" % (n, failed))
-        mean, se = mean_and_se([r.components for r in ok])
+        mean, se = mean_and_se([r.components for r in ok]) if ok else (math.nan, math.nan)
         sq = math.sqrt(n)
         row = (int(n), len(ok), failed, mean, se, mean / sq, se / sq)
         rows.append(row)
@@ -301,7 +300,9 @@ def run_scaling(config, out=sys.stdout):
     if config.out_path:
         with open(config.out_path, "w") as fh:
             fh.write("\n".join(table) + "\n")
-    for n, _, _, _, _, scaled, scaled_se in rows:
+    for n, _, failed, _, _, scaled, scaled_se in rows:
+        if failed > FAILURE_ABORT_FRACTION * config.trials:
+            raise NumericFailureError("n=%d: %d failures" % (n, failed))
         slack = 0.0 if math.isnan(scaled_se) else 3.0 * scaled_se
         if n >= 100 and not (SCALING_BRACKET[0] - slack <= scaled <= SCALING_BRACKET[1] + slack):
             raise NumericFailureError(

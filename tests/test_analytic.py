@@ -39,12 +39,12 @@ def test_variance_closed_form():
     assert abs(v - (math.pi**2 - 6.0) / 12.0) < 1e-9
 
 
-def test_variance_quadrature_self_consistency():
-    # tightening the tolerance must not move the value
-    f = lambda rho: an.dilog(rho * rho) * rho
-    coarse, _ = adaptive_gauss(f, 0.0, 1.0, 1e-10)
-    fine, _ = adaptive_gauss(f, 0.0, 1.0, 1e-13)
-    assert abs(coarse - fine) < 1e-9
+def test_edgeworth_area_tolerance_self_consistency(monkeypatch):
+    # tightening the area integral's tolerance 1000x must not move it
+    coarse = {n: an.edgeworth_area(n, 2.0) for n in (100, 400, 10**6)}
+    monkeypatch.setattr(an, "AREA_TOL", an.AREA_TOL / 1000.0)
+    for n, value in coarse.items():
+        assert abs(an.edgeworth_area(n, 2.0) - value) < 1e-9 * value, n
 
 
 def test_variance_against_monte_carlo():
@@ -94,14 +94,13 @@ def test_sigma_positive_and_continuous():
         assert abs(s_eps - s) < 1e-2
 
 
-def test_interpolant_agrees_with_quadrature():
-    # sigma from its closed form against the polar quadrature
-    for r in (0.0055, 0.513, 0.777, 0.9321, 0.9946, 0.9993):
-        tab = an.moments_log_dist(r)
-        assert abs(an._sigma_closed(r) - tab.sigma) < 1e-10, r
-    # an array call is the scalar calls elementwise
-    rs = np.linspace(0.4, 1.0, 97)
-    assert np.array_equal(an._sigma_closed(rs), [an._sigma_closed(float(r)) for r in rs])
+def test_closed_forms_array_call_is_scalar_calls():
+    # r^2 crosses 1/2, where S12 switches to its reflection, at r = 0.7071
+    rs = np.concatenate((np.linspace(0.0, 1.0, 97), [0.5**0.5, np.nextafter(0.5**0.5, 1.0)]))
+    for form in (an._sigma_closed, an._gamma3_closed):
+        assert np.array_equal(form(rs), [form(float(r)) for r in rs]), form
+    tab = an.moments_log_dist(0.7)
+    assert (tab.sigma, tab.gamma3) == (an._sigma_closed(0.7), an._gamma3_closed(0.7))
 
 
 def _series_second_raw(r):
@@ -125,20 +124,47 @@ def test_second_moment_closed_form_against_series_quadrature():
     assert an._second_raw_closed(1.0) == pytest.approx((an.ZETA2 - 1.0) / 2.0, abs=1e-15)
 
 
-def test_second_moment_mismatch_raises(monkeypatch):
-    polar = an._polar_central_moments
+def _mp_s12(x):
+    # S12 by its reflection through Li2 and Li3 of 1 - x, in mpmath
+    if x in (0, 1):
+        return x * mpmath.zeta(3)
+    y = 1 - x
+    return (mpmath.zeta(3) - mpmath.polylog(3, y) + mpmath.log(y) * mpmath.polylog(2, y)
+            + mpmath.log(x) * mpmath.log(y) ** 2 / 2)
 
-    def off(r):
-        m2, m3 = polar(r)
-        return m2 + 10.0 * an.CROSS_CHECK_TOL, m3
 
-    monkeypatch.setattr(an, "_polar_central_moments", off)
-    an._moment_triple.cache_clear()
-    try:
-        with pytest.raises(an.MomentMismatchError):
-            an.moments_log_dist(0.7)
-    finally:
-        an._moment_triple.cache_clear()
+def test_nielsen_s12_against_quadrature():
+    # S12(x) = (1/2) int_0^x log^2(1 - t)/t dt; the library's series runs
+    # below 1/2 and its reflection above (1 - x is exact for x >= 1/2)
+    with mpmath.workdps(30):
+        for x in (0.0, 0.1, 0.3, 0.5, 0.5 + 2.0**-52, 0.6, 0.9, 0.999, 1.0 - 1e-12, 1.0):
+            ref = mpmath.quad(lambda t: mpmath.log(1 - t) ** 2 / t, [0, x]) / 2
+            assert abs(_mp_s12(mpmath.mpf(x)) - ref) < 1e-25, x
+            assert abs(an._nielsen_s12(x, 1.0 - x) - float(ref)) < 1e-15, x
+
+
+def _series_third_raw(r):
+    # E[(log|r - X|)^3] as mpmath quadrature of the cosine-series integrand
+    with mpmath.workdps(30):
+        r = mpmath.mpf(r)
+
+        def f(rho):
+            mx, mn = max(r, rho), min(r, rho)
+            if mx == 0:
+                return mpmath.mpf(0)
+            big, m2 = mpmath.log(mx), (mn / mx) ** 2
+            return 2 * rho * (big**3 + 1.5 * big * mpmath.polylog(2, m2) - 1.5 * _mp_s12(m2))
+
+        return float(mpmath.quad(f, [0, r, 1] if 0 < r < 1 else [0, 1]))
+
+
+def test_third_moment_closed_form_against_series_quadrature():
+    for r in (0.0, 1e-12, 0.005, 0.3, 0.7, 0.95, 1.0 - 1e-12, 1.0):
+        assert abs(an._third_raw_closed(r) - _series_third_raw(r)) < 1e-14, r
+    assert an._third_raw_closed(0.0) == -0.75
+    assert an._gamma3_closed(0.0) == pytest.approx(-0.25, abs=1e-15)
+    gamma3_one = float(-1.5 * (mpmath.zeta(3) - 1))
+    assert an._gamma3_closed(1.0) == pytest.approx(gamma3_one, abs=1e-15)
 
 
 def test_moments_domain():
@@ -242,19 +268,7 @@ def test_edgeworth_tail_pointwise_against_exact_law(monkeypatch):
         assert abs(edge - exact) < 0.2 * abs(gauss - exact), r
 
 
-def test_edgeworth_interpolant_matches_direct(monkeypatch):
-    # sigma from the polar quadrature at every node of the area integral
-    closed = {n: an.edgeworth_area(n, 2.0) for n in (100, 10**6)}
-
-    def direct(r):
-        return np.array([an.moments_log_dist(x).sigma for x in r])
-
-    monkeypatch.setattr(an, "_sigma_closed", direct)
-    for n, value in closed.items():
-        assert value == pytest.approx(an.edgeworth_area(n, 2.0), rel=1e-10), n
-
-
-def test_edgeworth_q1_reads_polar_gamma3_at_every_node(monkeypatch):
+def test_edgeworth_q1_reads_closed_gamma3_at_every_node(monkeypatch):
     # the skewness term of the area integrand is skew_correction with
     # moments_log_dist(r).gamma3 at each node the quadrature asks for
     n = 400
@@ -277,12 +291,11 @@ def test_edgeworth_q1_reads_polar_gamma3_at_every_node(monkeypatch):
     c_r = math.sqrt(n) * (0.0 - an.mean_log_dist(nodes)) / sigma
     gamma3 = np.array([an.moments_log_dist(r).gamma3 for r in nodes])
     expected = -an.skew_correction(c_r, sigma, gamma3) / math.sqrt(n) * nodes
-    # the series this replaced was off by up to 8.3e-7 in gamma3, far
-    # above the rounding of the difference of two integrand values
+    # the same gamma3 bits: only the rounding of the difference remains
     assert np.abs(values[True] - values[False] - expected).max() < 1e-15
 
 
-def test_edgeworth_area_without_q1_runs_no_polar_quadrature():
+def test_edgeworth_area_without_q1_fills_no_moment_cache():
     an._moment_triple.cache_clear()
     an.edgeworth_area(400, 2.0)
     assert an._moment_triple.cache_info()[:2] == (0, 0)  # (hits, misses)
@@ -314,10 +327,6 @@ def test_quadrature_error_surfaces(monkeypatch):
     f = lambda x: np.where(np.sin(1e6 * x) > 0, 1.0, 0.0)
     with pytest.raises(QuadratureError):
         adaptive_gauss(f, 0.0, 1.0, 1e-15)
-    # ... also with one tolerance per component
-    g = lambda x: np.stack((f(x), x))
-    with pytest.raises(QuadratureError):
-        adaptive_gauss(g, 0.0, 1.0, np.array([1e-15, 1e-15]))
     # a NaN panel meets no budget: it fails at MAX_DEPTH, not accepted
     with pytest.raises(QuadratureError):
         adaptive_gauss(lambda x: np.full_like(x, math.nan), 0.0, 1.0, 1e-8)

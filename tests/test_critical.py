@@ -169,6 +169,17 @@ def test_nonconvergence_reports_partial_state(monkeypatch):
     assert crit.iterations <= 2
 
 
+def test_early_stop_short_of_the_certificate_sweeps_on():
+    # at n = 800 this trial's predicted stop left iterate 182 at residual
+    # 2.5e-10 after 10 sweeps; a second round of sweeps certifies it
+    stream = derive_substream(3145754, 21)
+    poly = RootedPolynomial(sample_disc_array(stream, 800))
+    crit = find_critical_points(poly, stream=stream)
+    assert crit.converged
+    assert crit.residuals.max() < 1e-12
+    assert crit.iterations <= critical.MAX_SWEEPS
+
+
 def test_requires_two_roots():
     # n = 1 takes the general path: no warning, no uniform drawn
     stream = derive_substream(0, 0)
