@@ -1,9 +1,25 @@
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 from scipy import stats
 
-from lemlab.rng import RngStream, derive_substream, sample_disc_array
+from lemlab.rng import _SPLIT, RngStream, derive_substream, sample_disc_array
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def documented_disc(seed, index, count):
+    raw = Generator(Philox(key=np.array([seed, index], dtype=np.uint64))).random(2 * count)
+    return np.sqrt(raw[0::2]) * np.exp(2j * np.pi * raw[1::2])
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def test_substreams_deterministic():
@@ -34,6 +50,76 @@ def test_polar_construction_is_the_documented_one():
     expect = np.sqrt(raw[0::2]) * np.exp(2j * np.pi * raw[1::2])
     got = sample_disc_array(derive_substream(5, 11), 4)
     assert np.array_equal(got, expect)
+
+
+@pytest.mark.parametrize("count", [0, 1, 1001, _SPLIT - 1, _SPLIT, _SPLIT + 1, 1 << 20])
+def test_in_place_split_polar_step_keeps_every_bit(count):
+    got = sample_disc_array(derive_substream(6, count), count)
+    assert got.dtype == np.complex128
+    assert same_bits(got, documented_disc(6, count, count))
+
+
+def test_split_draw_is_two_unsplit_draws():
+    a, b = _SPLIT - 3, _SPLIT - 5
+    whole = sample_disc_array(derive_substream(8, 1), a + b)
+    s = derive_substream(8, 1)
+    parts = np.concatenate([sample_disc_array(s, a), sample_disc_array(s, b)])
+    assert a + b >= _SPLIT and same_bits(whole, parts)
+    assert s.counter == 2 * (a + b)
+
+
+def test_concurrent_split_draws_match_serial_draws():
+    # two callers share the one helper; whichever finds it busy runs
+    # its second half inline
+    count, rounds = 3 * _SPLIT, 6
+    serial = [sample_disc_array(derive_substream(10, k), count) for k in range(2)]
+    with ThreadPoolExecutor(2) as pool:
+        for _ in range(rounds):
+            got = list(pool.map(lambda k: sample_disc_array(derive_substream(10, k), count),
+                                range(2)))
+            assert all(same_bits(g, e) for g, e in zip(got, serial))
+
+
+def run_python(code):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+
+
+def test_idle_helper_keeps_no_interpreter_alive():
+    r = run_python(
+        "import lemlab\n"
+        "from lemlab.rng import _SPLIT, derive_substream, sample_disc_array\n"
+        "print(sample_disc_array(derive_substream(1, 0), 3 * _SPLIT).sum())\n"
+    )
+    assert r.returncode == 0, r.stderr
+    assert complex(r.stdout) == sample_disc_array(derive_substream(1, 0), 3 * _SPLIT).sum()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_starts_its_own_helper():
+    r = run_python(
+        "import os\n"
+        "import numpy as np\n"
+        "from lemlab import rng\n"
+        "want = rng.sample_disc_array(rng.derive_substream(1, 0), 3 * rng._SPLIT)\n"
+        "parents = rng._helper\n"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    got = rng.sample_disc_array(rng.derive_substream(1, 0), 3 * rng._SPLIT)\n"
+        "    ok = rng._helper is not parents and np.array_equal(got, want)\n"
+        "    os._exit(0 if ok else 1)\n"
+        "print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))\n"
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "0\n"
+
+
+def test_import_starts_no_thread():
+    r = run_python("import threading\nimport lemlab\nprint(threading.active_count())\n")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "1\n"
 
 
 def test_support_strictly_inside_disc():
